@@ -164,6 +164,15 @@ class EstimateRequest:
         return "&".join(parts)
 
 
+def _is_seed(value: object) -> bool:
+    """Whether ``value`` can seed a generator: an integer ``>= 0``."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
 def request_cache_key(request: EstimateRequest) -> tuple | None:
     """Canonical idempotency key of a request, or ``None`` if uncacheable.
 
@@ -183,6 +192,9 @@ def request_cache_key(request: EstimateRequest) -> tuple | None:
     """
     if request.seed is None or request.rng is not None:
         return None
+    seeds = (request.seed, request.population_seed)
+    if not all(seed is None or _is_seed(seed) for seed in seeds):
+        return None  # invalid: resolve_request answers with the error
     if not isinstance(request.population, (int, np.integer)):
         return None
     accuracy = request.accuracy
@@ -237,7 +249,8 @@ def resolve_request(
 ) -> ResolvedRequest:
     """The single validation path every estimate goes through.
 
-    Resolves, in order: seed-vs-rng provenance (passing both raises a
+    Resolves, in order: seed-vs-rng provenance (passing both, or a
+    negative or non-integer ``seed``/``population_seed``, raises a
     :class:`~repro.errors.ConfigurationError`), the protocol instance
     (unknown names/keywords fail here), the population (synthesized,
     cached-by-``population_seed``, or passed through), and the round
@@ -254,6 +267,12 @@ def resolve_request(
             "pass seed= or rng=, not both; an explicit generator "
             "already carries its own seed state"
         )
+    for name in ("seed", "population_seed"):
+        value = getattr(request, name)
+        if value is not None and not _is_seed(value):
+            raise ConfigurationError(
+                f"{name} must be a non-negative integer, got {value!r}"
+            )
     rng = (
         request.rng
         if request.rng is not None

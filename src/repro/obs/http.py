@@ -44,6 +44,10 @@ OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
+#: How often ``serve_forever`` checks for shutdown, which bounds how
+#: long ``stop()`` blocks (the stdlib default is 0.5 s).
+_POLL_INTERVAL_SECONDS = 0.05
+
 
 def trace_timeline(
     registry: MetricsRegistry, trace_id: str
@@ -216,6 +220,7 @@ class MetricsServer:
         self._server.daemon_threads = True
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(_POLL_INTERVAL_SECONDS,),
             name="repro-metrics-http",
             daemon=True,
         )

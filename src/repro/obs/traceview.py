@@ -42,7 +42,6 @@ _SHOWN_ATTRIBUTES = (
     "backend",
     "group_size",
     "group_kind",
-    "chunk_elements",
     "protocol",
     "tenant",
     "n",

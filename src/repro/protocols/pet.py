@@ -1,8 +1,13 @@
 """PET as a zoo protocol: the paper's contribution behind the common API.
 
-Wraps the core estimator and a simulator tier into the
+Puts PET behind the
 :class:`~repro.protocols.base.CardinalityEstimatorProtocol` interface so
-benchmarks can compare PET against the baselines uniformly.
+benchmarks can compare it against the baselines uniformly.  The
+vectorized tier runs the one PET round path of :mod:`repro.sim.batched`
+(:func:`~repro.sim.batched.pet_words`, then
+:func:`~repro.sim.batched.pet_depths`, then
+:meth:`PetProtocol.result_from_depths`) that the experiment engine and
+the serve tier use too.
 
 Variants (all selectable through :class:`repro.config.PetConfig`):
 
@@ -20,9 +25,10 @@ import math
 import numpy as np
 
 from ..config import AccuracyRequirement, PetConfig
-from ..core.accuracy import PHI, rounds_required
+from ..core.accuracy import PHI, estimate_from_depths, rounds_required
+from ..core.search import slots_lookup_table, strategy_for
+from ..sim.batched import pet_depths, pet_words
 from ..sim.sampled import SampledSimulator
-from ..sim.vectorized import VectorizedSimulator
 from ..tags.population import TagPopulation
 from .base import CardinalityEstimatorProtocol, ProtocolResult
 
@@ -86,15 +92,41 @@ class PetProtocol(CardinalityEstimatorProtocol):
                 population.size, config=config, rng=rng
             )
             result = simulator.estimate()
-        else:
-            vec = VectorizedSimulator(population, config=config, rng=rng)
-            result = vec.estimate()
+            return self._observe_result(
+                ProtocolResult(
+                    protocol=self.name,
+                    n_hat=result.n_hat,
+                    rounds=result.num_rounds,
+                    total_slots=result.total_slots,
+                    per_round_statistics=result.depths,
+                )
+            )
+        words = pet_words(rng, rounds, config.passive_tags)
+        return self.result_from_depths(
+            pet_depths(population, words, config)
+        )
+
+    def result_from_depths(
+        self, depths: np.ndarray, seed_provenance: str | None = None
+    ) -> ProtocolResult:
+        """The observed result of one run's gray depths.
+
+        ``n_hat = phi^-1 * 2^mean(d)``; slots come from the depth ->
+        slots table of the configured search strategy.  Shared by
+        :meth:`estimate` and the serve tier's fused PET groups, which
+        split one depth vector across many requests.
+        """
+        config = self.config
+        slots_table = slots_lookup_table(
+            strategy_for(config.binary_search), config.tree_height
+        )
         return self._observe_result(
             ProtocolResult(
                 protocol=self.name,
-                n_hat=result.n_hat,
-                rounds=result.num_rounds,
-                total_slots=result.total_slots,
-                per_round_statistics=result.depths,
+                n_hat=estimate_from_depths(depths),
+                rounds=int(depths.size),
+                total_slots=int(slots_table[depths].sum()),
+                per_round_statistics=depths.astype(np.float64),
+                seed_provenance=seed_provenance,
             )
         )

@@ -24,8 +24,8 @@ from ..analysis.mle import mle_estimate_censored
 from ..config import AccuracyRequirement, PetConfig
 from ..core.accuracy import PHI, rounds_required
 from ..errors import ConfigurationError
+from ..sim.batched import pet_depths, pet_words
 from ..sim.sampled import SampledSimulator
-from ..sim.vectorized import VectorizedSimulator
 from ..tags.population import TagPopulation
 from .base import CardinalityEstimatorProtocol, ProtocolResult
 
@@ -102,17 +102,8 @@ class BudgetedPetProtocol(CardinalityEstimatorProtocol):
     ) -> np.ndarray:
         """Censored depth observations, ``min(d, budget)`` per round."""
         if self.config.passive_tags:
-            simulator = VectorizedSimulator(
-                population, config=self.config, rng=rng
-            )
-            from ..core.path import EstimatingPath
-
-            depths = np.empty(rounds, dtype=np.int64)
-            for index in range(rounds):
-                path = EstimatingPath.random(
-                    self.config.tree_height, rng
-                )
-                depths[index] = simulator.gray_depth(path, None)
+            words = pet_words(rng, rounds, passive=True)
+            depths = pet_depths(population, words, self.config)
         else:
             simulator = SampledSimulator(
                 population.size, config=self.config, rng=rng

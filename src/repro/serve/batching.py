@@ -6,13 +6,13 @@ groups them by *fusion key* — same protocol class/config and same
 population object — and executes each group through the batched
 kernels:
 
-* **PET (vectorized tier)**: every request's per-round word stream is
-  drawn from its own generator exactly as the scalar path would
-  (path word, then seed word for active tags — the PR-1 discipline),
-  then all requests' paths/seeds are concatenated into a single
-  :func:`~repro.sim.batched.batched_gray_depths_fresh` /
-  :func:`~repro.sim.batched.batched_gray_depths_sorted` call and the
-  depth vector is split back per request.
+* **PET (vectorized tier)**: every request's words are drawn from its
+  own generator by :func:`~repro.sim.batched.pet_words`, exactly as
+  :meth:`~repro.protocols.pet.PetProtocol.estimate` draws them; the
+  group's words are concatenated into one
+  :func:`~repro.sim.batched.pet_depths` call, and the depth vector is
+  split back per request through
+  :meth:`~repro.protocols.pet.PetProtocol.result_from_depths`.
 * **Engine protocols** (FNEB, LoF, USE/UPE/EZB, ALOHA): per-request
   seed vectors are concatenated and evaluated through the protocol's
   :class:`~repro.protocols.base.BatchedRoundEngine` in one chunked
@@ -48,25 +48,23 @@ from typing import Sequence
 import numpy as np
 
 from ..api import ResolvedRequest
-from ..core.accuracy import estimate_from_depths
-from ..core.search import slots_lookup_table, strategy_for
+from ..core.accuracy import estimate_from_depths  # noqa: F401
 from ..errors import ConfigurationError
 from ..protocols.base import ProtocolResult
 from ..protocols.pet import PetProtocol
-from ..sim.batched import (
+from ..sim.backends import active_backend
+from ..sim.batched import (  # noqa: F401
     batched_gray_depths_fresh,
     batched_gray_depths_sorted,
+    pet_depths,
+    pet_words,
 )
-from ..sim.backends import active_backend
 from ..sim.protocol_batched import _chunked_statistics
 from ..tags.population import TagPopulation
 
-#: Chunk bound for the fused fresh-code kernel.  The experiment engine
-#: default (2^21 elements) optimises few huge cells; service groups are
-#: many medium ones, where cache-resident chunks keep the
-#: XOR/leading-zeros temporaries in L2 and run ~3x faster.  Chunking
-#: never changes results — depths are elementwise in the round axis.
-_SERVE_CHUNK_ELEMENTS = 1 << 15
+# ``estimate_from_depths`` and the two kernels are not called here (PET
+# groups go through ``pet_depths``); they stay bound because
+# perfbench/layers.py wraps them by name in this module too.
 
 
 @dataclass(frozen=True)
@@ -75,9 +73,9 @@ class GroupExecution:
 
     The service turns each row into per-request ``kernel`` spans: every
     request in ``indices`` (batch-local positions) shares the same
-    kernel call, so its span carries the fusion group's size, the
-    active kernel backend, and the chunk bound — the attributes an
-    exemplar-driven trace lookup needs to explain a latency band.
+    kernel call, so its span carries the fusion group's size and the
+    active kernel backend — the attributes an exemplar-driven trace
+    lookup needs to explain a latency band.
     """
 
     kind: str  # "pet" | "engine" | "scalar"
@@ -86,7 +84,6 @@ class GroupExecution:
     seconds: float
     backend: str
     protocol: str
-    chunk_elements: int | None = None
 
 
 @dataclass
@@ -125,92 +122,30 @@ def _config_key(resolved: ResolvedRequest) -> tuple:
 def _pet_fusible(resolved: ResolvedRequest) -> bool:
     """Whether the direct PET kernel path can serve this request."""
     protocol = resolved.protocol
-    if not isinstance(protocol, PetProtocol):
-        return False
-    if protocol.tier != "vectorized" and not protocol.config.passive_tags:
-        return False
-    # The vectorized kernels share the scalar tier's height ceiling.
-    if (
-        resolved.population.size > 0
-        and protocol.config.tree_height > 62
-    ):
-        return False
-    return True
-
-
-def _pet_words(resolved: ResolvedRequest) -> np.ndarray:
-    """One request's per-round word draw, scalar-stream-identical.
-
-    The scalar estimator draws, per round, one full-range ``uint64``
-    path word (:meth:`~repro.core.path.EstimatingPath.random`) and —
-    active variant — one seed word (``integers(0, 2**63)`` is a
-    one-word Lemire draw).  A single C-order ``(rounds, words)`` array
-    draw consumes the request generator's stream identically.
-    """
-    config = resolved.protocol.config
-    words_per_round = 1 if config.passive_tags else 2
-    return resolved.rng.integers(
-        0,
-        2**64,
-        size=(resolved.rounds, words_per_round),
-        dtype=np.uint64,
+    return isinstance(protocol, PetProtocol) and (
+        protocol.tier == "vectorized" or protocol.config.passive_tags
     )
-
-
-#: Per-population sorted-code cache key -> sorted codes, kept for the
-#: lifetime of one micro-batch only (populations are the cache key of
-#: the service's own longer-lived population cache).
-_SortedCodes = dict[tuple[int, int], np.ndarray]
 
 
 def _fused_pet_group(
     group: list[tuple[int, ResolvedRequest, np.ndarray]],
     population: TagPopulation,
-    sorted_codes: _SortedCodes,
     results: list,
 ) -> None:
     """Run one PET fusion group through a single depth-kernel call."""
-    first = group[0][1]
-    config = first.protocol.config
-    height = config.tree_height
-    all_paths = np.concatenate(
-        [words[:, 0] >> np.uint64(64 - height) for _, _, words in group]
-    )
-    if config.passive_tags:
-        cache_key = (id(population), height)
-        codes = sorted_codes.get(cache_key)
-        if codes is None:
-            codes = np.sort(population.preloaded_codes(height))
-            sorted_codes[cache_key] = codes
-        depths = batched_gray_depths_sorted(codes, all_paths, height)
-    else:
-        all_seeds = np.concatenate(
-            [words[:, 1] >> np.uint64(1) for _, _, words in group]
-        )
-        depths = batched_gray_depths_fresh(
-            population.tag_ids,
-            all_seeds,
-            all_paths,
-            height,
-            population.family,
-            chunk_elements=_SERVE_CHUNK_ELEMENTS,
-        )
-    slots_table = slots_lookup_table(
-        strategy_for(config.binary_search), height
+    config = group[0][1].protocol.config
+    depths = pet_depths(
+        population,
+        np.concatenate([words for _, _, words in group]),
+        config,
     )
     offset = 0
-    for index, resolved, words in group:
+    for index, resolved, _ in group:
         request_depths = depths[offset : offset + resolved.rounds]
         offset += resolved.rounds
-        result = ProtocolResult(
-            protocol=resolved.protocol.name,
-            n_hat=estimate_from_depths(request_depths),
-            rounds=resolved.rounds,
-            total_slots=int(slots_table[request_depths].sum()),
-            per_round_statistics=request_depths.astype(np.float64),
-            seed_provenance=resolved.seed_provenance,
+        results[index] = resolved.protocol.result_from_depths(
+            request_depths, resolved.seed_provenance
         )
-        results[index] = resolved.protocol._observe_result(result)
 
 
 def _fused_engine_group(
@@ -261,7 +196,6 @@ def execute_micro_batch(
     pet_groups: dict[tuple, list] = {}
     engine_groups: dict[tuple, list] = {}
     scalar: list[tuple[int, ResolvedRequest]] = []
-    sorted_codes: _SortedCodes = {}
 
     for index, resolved in enumerate(batch):
         try:
@@ -273,8 +207,13 @@ def execute_micro_batch(
                 # Words are drawn at classification time, from the
                 # request's own generator — group membership can never
                 # change what any single request consumes.
+                words = pet_words(
+                    resolved.rng,
+                    resolved.rounds,
+                    resolved.protocol.config.passive_tags,
+                )
                 pet_groups.setdefault(key, []).append(
-                    (index, resolved, _pet_words(resolved))
+                    (index, resolved, words)
                 )
             elif resolved.protocol.batched_engine() is not None:
                 key = (
@@ -302,7 +241,7 @@ def execute_micro_batch(
         population = group[0][1].population
         started = time.perf_counter()
         try:
-            _fused_pet_group(group, population, sorted_codes, results)
+            _fused_pet_group(group, population, results)
         except Exception as error:
             for index, _, _ in group:
                 if results[index] is None:
@@ -315,7 +254,6 @@ def execute_micro_batch(
                 seconds=time.perf_counter() - started,
                 backend=backend_name,
                 protocol=group[0][1].protocol.name,
-                chunk_elements=_SERVE_CHUNK_ELEMENTS,
             )
         )
 

@@ -713,8 +713,6 @@ class EstimationService:
             "group_size": len(group.indices),
             "protocol": group.protocol,
         }
-        if group.chunk_elements is not None:
-            kernel_attributes["chunk_elements"] = group.chunk_elements
         if self._shard_label is not None:
             kernel_attributes["shard"] = self._shard_label
         registry.record_span(

@@ -1,35 +1,28 @@
-"""The batched experiment engine: whole experiment cells in numpy.
+"""The PET round path and the batched experiment engine.
 
-:class:`~repro.sim.experiment.ExperimentRunner`'s reference loop runs
-one repetition at a time, and each repetition one round at a time —
-Python-level work per round.  For the paper's evaluation (every data
-point averaged over 300 independent runs, Sec. 5.1) and for the
-dynamic-monitoring workloads that re-estimate at streaming rates, that
-loop *is* the hot path of the whole benchmark suite.
+Every PET round is the same computation, and this module holds it
+once, for every caller — :meth:`repro.protocols.pet.PetProtocol.estimate`
+(the facade), :class:`BatchedExperimentEngine` (the sweep engine) and
+the serve tier's fused groups (:mod:`repro.serve.batching`):
 
-:class:`BatchedExperimentEngine` computes an entire experiment cell —
-all ``repetitions x rounds`` gray depths — in a handful of array
-operations per repetition and no Python round loop at all:
+1. :func:`pet_words` — the reader's words: one ``(rounds, 1|2)``
+   ``uint64`` draw (path word, plus a seed word for active tags);
+2. :func:`pet_depths` — words to gray depths: the path and seed shifts,
+   then :func:`batched_gray_depths_sorted` over the sorted preloaded
+   codes (passive tags, Sec. 4.5) or :func:`batched_gray_depths_fresh`
+   over per-round hashed codes (active tags, Algorithm 2);
+3. :meth:`~repro.protocols.pet.PetProtocol.result_from_depths` —
+   depths to the observed result: ``phi^-1 * 2^mean(d)`` and the
+   depth -> slots lookup table
+   (:func:`repro.core.search.slots_lookup_table`).
 
-* estimating paths are drawn as one ``(rounds,)`` (passive) or
-  ``(rounds, 2)`` (active: path word + seed word) ``uint64`` array whose
-  word stream matches the scalar draws of
-  :meth:`~repro.core.path.EstimatingPath.random` and the per-round seed
-  draw bit-for-bit, so the engine reproduces the reference loop exactly
-  from the same ``SeedSequence`` children;
-* for fixed (passive) codes the population is sorted once and every
-  round's gray depth comes from a single batched ``searchsorted`` plus
-  an XOR/leading-zeros pass over the two neighbours;
-* for per-round fresh (active) codes the code matrix is produced by the
-  hash family's broadcast :meth:`~repro.hashing.family.HashFamily.code_matrix`
-  and reduced with one leading-zeros ``max`` per chunk of rounds;
-* slot accounting is a table lookup
-  (:func:`repro.core.search.slots_lookup_table`) plus a sum — no oracle
-  replay per round.
-
-Bit-for-bit equivalence with the reference loop (and, on small
-populations, the slot-level simulator) is enforced by
-``tests/sim/test_equivalence.py``.
+No Python loop runs per round.  The scalar oracles the equivalence
+tests check this path against are
+:class:`~repro.sim.vectorized.VectorizedSimulator` (one round at a
+time through :class:`~repro.core.estimator.PetEstimator`) and
+:meth:`~repro.sim.experiment.ExperimentRunner.run_vectorized_loop`
+(its repetition loop); ``tests/sim/test_equivalence.py`` and
+``tests/protocols/test_pet_oracle.py`` enforce bit-for-bit agreement.
 """
 
 from __future__ import annotations
@@ -50,12 +43,9 @@ from ..hashing.family import HashFamily
 from ..hashing.geometric import leading_zeros64_vec
 from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry, get_registry
+from ..tags.population import TagPopulation
 from .experiment import RepeatedEstimate
 from .workload import WorkloadSpec, build_population
-
-#: Ceiling on the per-chunk (rounds x tags) code matrix for fresh-code
-#: rounds — keeps peak memory around 16 MB regardless of cell size.
-_FRESH_CHUNK_ELEMENTS = 1 << 21
 
 
 def batched_gray_depths_sorted(
@@ -92,14 +82,18 @@ def batched_gray_depths_fresh(
     path_bits: np.ndarray,
     height: int,
     family: HashFamily,
-    chunk_elements: int = _FRESH_CHUNK_ELEMENTS,
+    chunk_elements: int = 1 << 15,
 ) -> np.ndarray:
     """Gray depths of many paths, each against its own fresh code set.
 
     Active tags rehash per round, so the sort cannot be amortised;
     instead the ``(rounds, tags)`` code matrix is produced chunk-wise by
     the family's broadcast hash and reduced with one leading-zeros
-    ``max`` per chunk.
+    ``max`` per chunk.  Chunking never changes results (depths are
+    elementwise in the round axis).  The ``2^15``-element default keeps
+    the XOR/leading-zeros temporaries cache-resident: at 4,096-4,697
+    rounds it ran 2.4-2.6x faster than ``2^21`` from 64 to 10,000 tags
+    (2-CPU Xeon, numpy 2.4).
     """
     rounds = int(seeds.shape[0])
     population_size = int(tag_ids.size)
@@ -115,6 +109,78 @@ def batched_gray_depths_fresh(
         zeros = leading_zeros64_vec(aligned)
         depths[start:stop] = np.minimum(height, zeros.max(axis=1))
     return depths
+
+
+def pet_words(
+    rng: np.random.Generator, rounds: int, passive: bool
+) -> np.ndarray:
+    """The reader's words for ``rounds`` PET rounds, one array draw.
+
+    The scalar reader draws, per round, one full-range ``uint64`` path
+    word (:meth:`~repro.core.path.EstimatingPath.random`) and — active
+    variant — one seed word: ``integers(0, 2**63)`` is a one-word
+    Lemire draw, i.e. ``word >> 1``.  A C-order ``(rounds, 1|2)``
+    full-range draw consumes the generator's stream identically, and
+    its first ``m`` rows equal the ``(m, 1|2)`` draw from the same
+    state — so one call reproduces the scalar loop bit-for-bit, and
+    the widest draw of a rounds grid serves every narrower cell.
+    """
+    return rng.integers(
+        0, 2**64, size=(rounds, 1 if passive else 2), dtype=np.uint64
+    )
+
+
+def _pet_round_inputs(
+    words: np.ndarray, height: int
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Path bits and (active tags only) hash seeds of a word draw."""
+    path_bits = words[:, 0] >> np.uint64(64 - height)
+    if words.shape[1] == 1:
+        return path_bits, None
+    return path_bits, words[:, 1] >> np.uint64(1)
+
+
+def pet_depths(
+    population: TagPopulation, words: np.ndarray, config: PetConfig
+) -> np.ndarray:
+    """Gray depths of the rounds drawn as ``words`` (see :func:`pet_words`).
+
+    Passive tags answer with their preloaded codes, sorted once per
+    call; active tags rehash per round from the round's seed word.
+    Raises :class:`~repro.errors.ConfigurationError` for tree heights
+    above 62 on a non-empty population, like the scalar oracle.
+    """
+    height = config.tree_height
+    if population.size > 0 and height > 62:
+        raise ConfigurationError(
+            "vectorized simulation supports tree heights up to 62"
+        )
+    path_bits, seeds = _pet_round_inputs(words, height)
+    if seeds is None:
+        codes = np.sort(population.preloaded_codes(height))
+        return batched_gray_depths_sorted(codes, path_bits, height)
+    return batched_gray_depths_fresh(
+        population.tag_ids, seeds, path_bits, height, population.family
+    )
+
+
+def _repetition_depths(
+    spec: WorkloadSpec,
+    config: PetConfig,
+    words: np.ndarray,
+    index: int,
+) -> np.ndarray:
+    """Gray depths of repetition ``index`` of a cell.
+
+    Each repetition resamples its population from ``spec.seed +
+    index``; ``words`` is the repetition's :func:`pet_words` draw.
+    """
+    population = build_population(
+        WorkloadSpec(
+            size=spec.size, id_space=spec.id_space, seed=spec.seed + index
+        )
+    )
+    return pet_depths(population, words, config)
 
 
 class BatchedExperimentEngine:
@@ -166,10 +232,6 @@ class BatchedExperimentEngine:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
         height = config.tree_height
-        if spec.size > 0 and height > 62:
-            raise ConfigurationError(
-                "vectorized simulation supports tree heights up to 62"
-            )
         strategy = strategy_for(config.binary_search)
         slots_table = slots_lookup_table(strategy, height)
         registry = self.registry
@@ -187,52 +249,16 @@ class BatchedExperimentEngine:
         with registry.span(
             "cell", tier="batched", n=spec.size, rounds=rounds
         ):
-            children = np.random.SeedSequence(self.base_seed).spawn(
-                self.repetitions
+            word_draws = self._repetition_words(
+                rounds, config.passive_tags
             )
-            words_per_round = 1 if config.passive_tags else 2
             estimates = np.empty(self.repetitions)
             total_slots = 0
-            for index, child in enumerate(children):
+            for index in range(self.repetitions):
                 with profiler.phase("seed_matrix"):
-                    rng = np.random.default_rng(child)
-                    # One array draw reproduces the reference loop's
-                    # per-round scalar draws: path word (then seed word,
-                    # active variant) in round order — see
-                    # EstimatingPath.random.
-                    words = rng.integers(
-                        0,
-                        2**64,
-                        size=(rounds, words_per_round),
-                        dtype=np.uint64,
-                    )
-                    path_bits = words[:, 0] >> np.uint64(64 - height)
+                    words = next(word_draws)
                 with profiler.phase("hash_passes"):
-                    population = build_population(
-                        WorkloadSpec(
-                            size=spec.size,
-                            id_space=spec.id_space,
-                            seed=spec.seed + index,
-                        )
-                    )
-                    if config.passive_tags:
-                        codes = np.sort(
-                            population.preloaded_codes(height)
-                        )
-                        depths = batched_gray_depths_sorted(
-                            codes, path_bits, height
-                        )
-                    else:
-                        # integers(0, 2**63) is a one-word Lemire draw:
-                        # word >> 1.
-                        seeds = words[:, 1] >> np.uint64(1)
-                        depths = batched_gray_depths_fresh(
-                            population.tag_ids,
-                            seeds,
-                            path_bits,
-                            height,
-                            population.family,
-                        )
+                    depths = _repetition_depths(spec, config, words, index)
                 with profiler.phase("finalize"):
                     estimates[index] = estimate_from_depths(depths)
                 with profiler.phase("reduction"):
@@ -242,14 +268,15 @@ class BatchedExperimentEngine:
                         idle_slots += int(idle_table[depths].sum())
                         depth_histogram.observe_many(depths)
                     if recorder is not None:
+                        path_bits, seeds = _pet_round_inputs(
+                            words, height
+                        )
                         recorder.record_population_run(
                             tier="batched",
                             run_index=index,
                             depths=depths,
                             path_bits=path_bits,
-                            round_seeds=(
-                                None if config.passive_tags else seeds
-                            ),
+                            round_seeds=seeds,
                             population_size=spec.size,
                             population_id_space=spec.id_space,
                             population_seed=spec.seed + index,
@@ -313,10 +340,8 @@ class BatchedExperimentEngine:
         streams for every grid value; this method exploits two prefix
         facts to pay for them exactly once:
 
-        * word streams: ``rng.integers(0, 2**64, size=(m, k))`` is a
-          row-prefix of the ``size=(max_m, k)`` draw from the same
-          child (C-order full-range draws consume the stream
-          identically), and
+        * word streams: each child's :func:`pet_words` draw for ``m``
+          rounds is a row-prefix of its draw for ``max_m``, and
         * depths: per-round gray depths are elementwise independent,
           so the ``(repetitions, max_m)`` depth matrix computed at the
           widest grid value yields every narrower cell as the column
@@ -406,34 +431,26 @@ class BatchedExperimentEngine:
             )
         return results
 
-    def _grid_words(self, max_rounds: int, words_per_round: int):
-        """Yield ``(index, words)`` per repetition — the widest draw."""
+    def _repetition_words(self, rounds: int, passive: bool):
+        """Yield each repetition's :func:`pet_words` draw, in order."""
         children = np.random.SeedSequence(self.base_seed).spawn(
             self.repetitions
         )
-        for index, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            yield index, rng.integers(
-                0,
-                2**64,
-                size=(max_rounds, words_per_round),
-                dtype=np.uint64,
-            )
+        for child in children:
+            yield pet_words(np.random.default_rng(child), rounds, passive)
 
     def _grid_depths_serial(
         self, spec: WorkloadSpec, config: PetConfig, max_rounds: int
     ) -> np.ndarray:
         """The ``(repetitions, max_rounds)`` depth matrix, in-process."""
-        words_per_round = 1 if config.passive_tags else 2
         depths = np.empty(
             (self.repetitions, max_rounds), dtype=np.int64
         )
         profiler = active_profiler(self.registry)
-        for index, words in self._grid_words(
-            max_rounds, words_per_round
-        ):
+        word_draws = self._repetition_words(max_rounds, config.passive_tags)
+        for index, words in enumerate(word_draws):
             with profiler.phase("hash_passes"):
-                depths[index] = _grid_repetition_depths(
+                depths[index] = _repetition_depths(
                     spec, config, words, index
                 )
         return depths
@@ -456,18 +473,16 @@ class BatchedExperimentEngine:
         from .experiment import _run_pool
         from .shm import SharedArray
 
-        words_per_round = 1 if config.passive_tags else 2
         registry = self.registry
         profiler = active_profiler(registry)
         with profiler.phase("seed_matrix"):
-            words_all = np.empty(
-                (self.repetitions, max_rounds, words_per_round),
-                dtype=np.uint64,
+            words_all = np.stack(
+                list(
+                    self._repetition_words(
+                        max_rounds, config.passive_tags
+                    )
+                )
             )
-            for index, words in self._grid_words(
-                max_rounds, words_per_round
-            ):
-                words_all[index] = words
         words_segment = None
         depths_segment = None
         try:
@@ -599,40 +614,6 @@ def _shard_ranges(
     return ranges
 
 
-def _grid_repetition_depths(
-    spec: WorkloadSpec,
-    config: PetConfig,
-    words: np.ndarray,
-    index: int,
-) -> np.ndarray:
-    """Gray depths of one repetition's rounds (the run_cell inner body).
-
-    ``words`` is the repetition's ``(rounds, words_per_round)`` word
-    draw; the population resampling (``spec.seed + index``) matches
-    :meth:`BatchedExperimentEngine.run_cell` exactly.
-    """
-    height = config.tree_height
-    path_bits = words[:, 0] >> np.uint64(64 - height)
-    population = build_population(
-        WorkloadSpec(
-            size=spec.size,
-            id_space=spec.id_space,
-            seed=spec.seed + index,
-        )
-    )
-    if config.passive_tags:
-        codes = np.sort(population.preloaded_codes(height))
-        return batched_gray_depths_sorted(codes, path_bits, height)
-    seeds = words[:, 1] >> np.uint64(1)
-    return batched_gray_depths_fresh(
-        population.tag_ids,
-        seeds,
-        path_bits,
-        height,
-        population.family,
-    )
-
-
 def _grid_depths_worker(
     words_spec: object,
     depths_spec: object,
@@ -662,7 +643,7 @@ def _grid_depths_worker(
             words = words_segment.array
             depths = depths_segment.array
             for index in range(start, stop):
-                depths[index] = _grid_repetition_depths(
+                depths[index] = _repetition_depths(
                     spec, config, words[index], index
                 )
         finally:

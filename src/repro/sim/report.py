@@ -116,37 +116,6 @@ def protocol_results_table(
     return table
 
 
-def legacy_result_record(result: "ProtocolResult") -> dict[str, object]:
-    """Deprecated: the pre-service ad-hoc record shape.
-
-    The old report path built its own dict with ``n_hat`` and
-    ``observations`` keys; everything now serializes through the
-    common :func:`~repro.protocols.base.result_summary` schema
-    (``estimate`` / ``relative_error`` / ``seed_provenance``).  This
-    shim keeps the old shape importable for one release and warns
-    once per process.
-    """
-    from .._deprecation import warn_once
-
-    warn_once(
-        "sim.report.legacy_result_record",
-        "legacy_result_record() and the ad-hoc n_hat/observations "
-        "record are deprecated; use ProtocolResult.to_dict() / "
-        ".summary() (the shared result_summary schema) instead",
-    )
-    return {
-        "protocol": result.protocol,
-        "n_hat": float(result.n_hat),
-        "rounds": int(result.rounds),
-        "total_slots": int(result.total_slots),
-        "observations": (
-            0
-            if result.per_round_statistics is None
-            else int(len(result.per_round_statistics))
-        ),
-    }
-
-
 def format_series(
     label: str, xs: Iterable[object], ys: Iterable[object]
 ) -> str:

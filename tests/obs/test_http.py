@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -176,6 +177,12 @@ class TestLifecycle:
         server = MetricsServer(registry, port=0).start()
         server.stop()
         server.stop()
+
+    def test_stop_returns_promptly(self, registry):
+        server = MetricsServer(registry, port=0).start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.2
 
     def test_endpoint_unreachable_after_stop(self, registry):
         server = MetricsServer(registry, port=0).start()

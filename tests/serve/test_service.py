@@ -162,6 +162,27 @@ class TestCoalescedIdentity:
         assert "rounds" in responses[1].detail
 
 
+    def test_bad_seed_answered_with_error_not_a_cache_hit(self):
+        async def main():
+            service = EstimationService()
+            await service.start()
+            try:
+                good = await service.submit(_request(1))
+                # 1.5 must not alias seed 1's cached answer.
+                bad = await asyncio.gather(
+                    service.submit(_request(-1)),
+                    service.submit(_request(1.5)),
+                )
+            finally:
+                await service.stop()
+            return good, bad
+
+        good, bad = asyncio.run(main())
+        assert good.status == "ok"
+        assert [r.status for r in bad] == ["error", "error"]
+        assert all("seed must be" in r.detail for r in bad)
+
+
 class TestBackpressure:
     def test_queue_full_rejected_with_retry_after(self):
         config = ServiceConfig(

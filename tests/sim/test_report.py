@@ -101,23 +101,3 @@ class TestProtocolResultsTable:
 
         table = protocol_results_table([self._result()])
         assert "error" not in table.render().splitlines()[2]
-
-
-class TestLegacyResultRecord:
-    def test_keeps_old_shape_and_warns_once(self):
-        import repro._deprecation as deprecation
-        from repro.sim.report import legacy_result_record
-
-        deprecation._SEEN.discard("sim.report.legacy_result_record")
-        with pytest.warns(DeprecationWarning, match="n_hat"):
-            record = legacy_result_record(
-                TestProtocolResultsTable._result(123.0)
-            )
-        assert record["n_hat"] == pytest.approx(123.0)
-        assert record["observations"] == 4
-        # once per process: the second call stays silent
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            legacy_result_record(TestProtocolResultsTable._result())

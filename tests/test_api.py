@@ -115,6 +115,11 @@ class TestEstimate:
                 rounds=16,
             )
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            repro.estimate(1_000, seed=seed, rounds=16)
+
     def test_rng_alone_still_accepted(self):
         result = repro.estimate(
             1_000, rng=np.random.default_rng(2), rounds=32
@@ -212,6 +217,13 @@ class TestRequestModel:
             repro.resolve_request(request)
         )
         assert direct.n_hat == via_request.n_hat
+
+    def test_resolve_rejects_bad_population_seed(self):
+        from repro.api import EstimateRequest, resolve_request
+
+        request = EstimateRequest(400, seed=1, population_seed=-3)
+        with pytest.raises(ConfigurationError, match="population_seed"):
+            resolve_request(request)
 
     def test_population_seed_requires_integer_population(self):
         request = repro.EstimateRequest(

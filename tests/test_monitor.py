@@ -103,20 +103,14 @@ class TestHelpers:
 class TestObsIntegration:
     """Satellite: the monitor is part of the obs surface now."""
 
-    def test_shim_and_obs_expose_the_same_class(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            # The shim's DeprecationWarning is asserted in
-            # test_monitor_shim.py; here we only need its attributes.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.monitor as shim
+    def test_obs_and_top_level_expose_the_same_class(self):
+        import repro
         import repro.obs as obs
         import repro.obs.monitor as home
 
-        assert shim.CardinalityMonitor is home.CardinalityMonitor
         assert obs.CardinalityMonitor is home.CardinalityMonitor
-        assert shim.EpochReport is home.EpochReport
+        assert repro.CardinalityMonitor is home.CardinalityMonitor
+        assert repro.EpochReport is home.EpochReport
 
     def test_drift_emits_event_and_counter(self):
         from repro.obs import MetricsRegistry
