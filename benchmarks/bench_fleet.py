@@ -69,7 +69,7 @@ SHARD_COUNTS = (2, 4)
 #: The shard count whose off-vs-0.25 s ratio is the binding contract.
 OVERHEAD_SHARDS = 4
 
-#: Heartbeat cadence for the live-scrape and watchdog sections.
+#: The heartbeat cadence of the live-scrape and watchdog sections.
 LIVE_INTERVAL = 0.25
 
 #: Missed beats before the watchdog may call a shard stalled.

@@ -43,10 +43,10 @@ The diagnostics flags build on the same registry:
   format for Prometheus scrapes / textfile collectors;
 * ``--progress`` renders a live stderr status line for sweep
   experiments (``fig4``, ``protocols``) with per-cell throughput and
-  ETA — parallel sweeps stream worker heartbeats back to the parent;
-* ``--profile-out PATH`` attaches the batched-kernel phase profiler
-  (seed_matrix / hash_passes / reduction / finalize) and writes the
-  per-phase wall-time report to PATH as JSON.
+  ETA — parallel sweeps tick it in the parent as each cell completes;
+* ``--profile-out PATH`` writes the batched-kernel phase report
+  (seed_matrix / hash_passes / reduction / finalize wall time, merged
+  across worker processes) to PATH as JSON.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .obs import (
     EstimatorHealth,
     JsonLinesExporter,
     MetricsRegistry,
-    PhaseProfiler,
     PrometheusExporter,
     RoundTraceRecorder,
     SamplingPolicy,
@@ -252,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "render a live stderr status line (throughput, ETA) for "
-            "sweep experiments; parallel sweeps stream worker "
-            "heartbeats back to the parent"
+            "sweep experiments; parallel sweeps tick it as each "
+            "cell completes"
         ),
     )
     parser.add_argument(
@@ -313,30 +312,22 @@ def main(argv: list[str] | None = None) -> int:
     registry = MetricsRegistry()
     recorder = None
     health = None
-    profiler = None
     if diagnostics_on:
         recorder = RoundTraceRecorder(
             policy=SamplingPolicy.parse(args.trace_sample),
             registry=registry,
         )
         health = EstimatorHealth(registry=registry)
-    if args.profile_out is not None:
-        profiler = PhaseProfiler(registry=registry)
-    if diagnostics_on or profiler is not None:
-        registry.attach_diagnostics(
-            round_trace=recorder, health=health, profiler=profiler
-        )
+        registry.attach_diagnostics(round_trace=recorder, health=health)
     with use_registry(registry):
         run_selected()
     if args.profile_out is not None:
-        # The registry holds the merged cross-process phase timings
-        # (worker profilers mirror into profile.*.seconds histograms,
-        # which snapshot/merge carries back); the local profiler only
-        # saw this process.
+        # Phases time on any real registry, and worker snapshots carry
+        # their profile.*.seconds histograms home, so the registry
+        # holds the merged cross-process timings.
         write_phase_json(
             args.profile_out,
             registry,
-            profiler=profiler,
             extra={"experiment": args.experiment},
         )
         print(f"phase profile written to {args.profile_out}")

@@ -30,11 +30,13 @@ Cross-process telemetry (parallel sweeps) builds on three pieces:
 * :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge` —
   picklable :class:`RegistrySnapshot` objects that merge associatively,
   so worker registries fold into the parent losslessly;
-* :class:`ProgressTracker` / :class:`ProgressReporter`
-  (:mod:`repro.obs.progress`) — worker heartbeats, live status line,
-  ETA, and the ``sweep.progress.*`` gauges;
-* :class:`PhaseProfiler` (:mod:`repro.obs.profile`) — named wall-time
-  sampling around the batched-kernel phases.
+* :class:`ProgressTracker` (:mod:`repro.obs.progress`) — live status
+  line, ETA, and the ``sweep.progress.*`` gauges, ticked in the parent
+  as each pool future completes;
+* ``profile.<phase>.seconds`` histograms (:mod:`repro.obs.profile`) —
+  the batched kernels time their phases with
+  :meth:`Histogram.time`, and the per-phase report reads the merged
+  histograms back.
 
 See docs/OBSERVABILITY.md for metric names, exporter formats, and how
 to wire a custom exporter.
@@ -47,7 +49,6 @@ from .export import (
     InMemoryExporter,
     JsonLinesExporter,
     decode_value,
-    heartbeat_record,
     iter_records,
     snapshot_record,
     write_span_trace,
@@ -62,19 +63,8 @@ from .monitor import (
     monitor_population,
     simulate_monitoring,
 )
-from .profile import (
-    KERNEL_PHASES,
-    NULL_PROFILER,
-    NullPhaseProfiler,
-    PhaseProfiler,
-    active_profiler,
-)
-from .progress import (
-    Heartbeat,
-    ProgressReporter,
-    ProgressTracker,
-    default_worker_id,
-)
+from .profile import KERNEL_PHASES
+from .progress import ProgressTracker, default_worker_id
 from .prom import (
     PrometheusExporter,
     histogram_buckets,
@@ -162,17 +152,10 @@ __all__ = [
     "iter_records",
     "decode_value",
     "snapshot_record",
-    "heartbeat_record",
-    # cross-process progress + profiling
-    "Heartbeat",
-    "ProgressReporter",
+    # cross-process progress + phase timings
     "ProgressTracker",
     "default_worker_id",
     "KERNEL_PHASES",
-    "PhaseProfiler",
-    "NullPhaseProfiler",
-    "NULL_PROFILER",
-    "active_profiler",
     # trace / replay
     "DEFAULT_TAIL_THRESHOLD",
     "DEFAULT_TRACE_CAPACITY",

@@ -105,7 +105,7 @@ class _Handler(BaseHTTPRequestHandler):
                     slo.publish(self.registry, force=True)
                 fleet = getattr(self.registry, "fleet", None)
                 if fleet is not None:
-                    # Heartbeat ages are measured at scrape time, not
+                    # Shard heartbeat ages are measured at scrape time, not
                     # frozen at the last heartbeat's arrival.
                     fleet.refresh(self.registry)
                 text = render_openmetrics(self.registry)

@@ -322,6 +322,25 @@ class _NullHistogram(Histogram):
     def observe_many(self, values: object) -> None:  # noqa: ARG002
         pass
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        yield
+    def time(self) -> "_NullTimer":
+        return _NULL_TIMER
+
+
+class _NullTimer:
+    """Shared reusable no-op context manager for the null histogram.
+
+    One instance per process, so timing a phase against the null
+    registry allocates nothing (a generator-based context would build
+    a fresh generator per call).
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NULL_TIMER = _NullTimer()

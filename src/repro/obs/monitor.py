@@ -239,7 +239,7 @@ class HeartbeatMonitor:
             )
 
     def threshold(self, shard: int) -> float:
-        """Heartbeat age beyond which ``shard`` counts as stalled."""
+        """The heartbeat age beyond which ``shard`` counts as stalled."""
         expected = max(
             self._smoothed_gap.get(shard, self.interval),
             self.interval,

@@ -59,7 +59,7 @@ from ..sim.batched import (  # noqa: F401
     pet_depths,
     pet_words,
 )
-from ..sim.protocol_batched import _chunked_statistics
+from ..sim.protocol_batched import _chunked_statistics, round_seeds
 from ..tags.population import TagPopulation
 
 # ``estimate_from_depths`` and the two kernels are not called here (PET
@@ -222,9 +222,7 @@ def execute_micro_batch(
                 )
                 engine = resolved.protocol.batched_engine()
                 draws = resolved.rounds * engine.draws_per_round
-                seeds = resolved.rng.integers(
-                    0, 2**64, size=draws, dtype=np.uint64
-                ) >> np.uint64(1)
+                seeds = round_seeds(resolved.rng, draws)
                 engine_groups.setdefault(key, []).append(
                     (index, resolved, seeds)
                 )

@@ -142,7 +142,7 @@ class ServiceConfig:
         state mid-run.  ``None`` / ``0`` keeps the PR-9 behaviour:
         telemetry merges home only at shutdown.
     heartbeat_misses:
-        Heartbeat intervals a worker may miss before the fleet
+        Number of heartbeat intervals a worker may miss before the fleet
         watchdog marks it stalled and ``/healthz`` degrades.
     """
 

@@ -107,6 +107,7 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from queue import Empty
 from typing import Sequence
 
@@ -133,7 +134,8 @@ from ..sim.shm import SharedArray, SharedArraySpec
 from ..tags.population import TagPopulation
 from .service import EstimationService, ServiceConfig
 
-#: Seconds the collector waits per poll before re-checking liveness.
+#: Longest the collector waits for any shard before re-checking
+#: liveness (a dead shard's sentinel usually wakes it sooner).
 _COLLECT_POLL_SECONDS = 0.5
 
 
@@ -955,37 +957,49 @@ class ShardedService:
     def _collect(self) -> None:
         """Resolve futures as shards answer; fold telemetry as it lands.
 
-        Round-robins over the per-shard response queues.  A shard is
-        finished when it sends ``done``/``fatal`` — or when its
-        process is found dead with an empty queue (SIGKILL leaves no
-        marker), in which case its pending callers fail over
-        immediately instead of waiting for ``stop()``.
+        Waits on every live shard's response pipe and process sentinel
+        at once, then drains whichever are ready — a quiet shard never
+        delays a sibling's answer.  A shard is finished when it sends
+        ``done``/``fatal`` — or when its process is found dead with an
+        empty queue (SIGKILL leaves no marker), in which case its
+        pending callers fail over immediately instead of waiting for
+        ``stop()``.
         """
-        poll = _COLLECT_POLL_SECONDS / max(self.shards, 1)
         finished: set[int] = set()
         while len(finished) < self.shards:
-            for index, queue in enumerate(self._response_queues):
-                if index in finished:
-                    continue
-                try:
-                    message = queue.get(timeout=poll)
-                except Empty:
-                    if not self._processes[index].is_alive():
-                        finished.add(index)
-                        self._fail_shard(
-                            index,
-                            "shard process died unexpectedly",
-                        )
-                    continue
-                # Drain whatever else is already queued before moving
-                # to the next shard, so one chatty shard never waits
-                # behind a quiet sibling's poll timeout.
+            live = [
+                index
+                for index in range(self.shards)
+                if index not in finished
+            ]
+            # The queue's read end is the only waitable handle a
+            # multiprocessing.Queue has; the collector is its sole
+            # reader, so waiting on it and then reading never races.
+            sentinels = {
+                index: self._processes[index].sentinel for index in live
+            }
+            ready = wait_ready(
+                [self._response_queues[index]._reader for index in live]
+                + list(sentinels.values()),
+                timeout=_COLLECT_POLL_SECONDS,
+            )
+            for index in live:
+                queue = self._response_queues[index]
                 while True:
-                    self._dispatch(message, finished)
                     try:
                         message = queue.get_nowait()
                     except Empty:
                         break
+                    self._dispatch(message, finished)
+                if (
+                    index not in finished
+                    and sentinels[index] in ready
+                    and queue.empty()
+                ):
+                    finished.add(index)
+                    self._fail_shard(
+                        index, "shard process died unexpectedly"
+                    )
 
     def _dispatch(self, message, finished: set[int]) -> None:
         """Apply one worker message on the collector thread."""

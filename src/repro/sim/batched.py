@@ -28,6 +28,7 @@ time through :class:`~repro.core.estimator.PetEstimator`) and
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from ..core.search import (
 from ..errors import ConfigurationError
 from ..hashing.family import HashFamily
 from ..hashing.geometric import leading_zeros64_vec
-from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry, get_registry
 from ..tags.population import TagPopulation
 from .experiment import RepeatedEstimate
@@ -235,7 +235,10 @@ class BatchedExperimentEngine:
         strategy = strategy_for(config.binary_search)
         slots_table = slots_lookup_table(strategy, height)
         registry = self.registry
-        profiler = active_profiler(registry)
+        seed_timer = registry.histogram("profile.seed_matrix.seconds")
+        hash_timer = registry.histogram("profile.hash_passes.seconds")
+        finalize_timer = registry.histogram("profile.finalize.seconds")
+        reduction_timer = registry.histogram("profile.reduction.seconds")
         recorder = registry.round_trace if registry else None
         health = registry.health if registry else None
         if registry:
@@ -255,13 +258,13 @@ class BatchedExperimentEngine:
             estimates = np.empty(self.repetitions)
             total_slots = 0
             for index in range(self.repetitions):
-                with profiler.phase("seed_matrix"):
+                with seed_timer.time():
                     words = next(word_draws)
-                with profiler.phase("hash_passes"):
+                with hash_timer.time():
                     depths = _repetition_depths(spec, config, words, index)
-                with profiler.phase("finalize"):
+                with finalize_timer.time():
                     estimates[index] = estimate_from_depths(depths)
-                with profiler.phase("reduction"):
+                with reduction_timer.time():
                     total_slots += int(slots_table[depths].sum())
                     if registry:
                         busy_slots += int(busy_table[depths].sum())
@@ -446,10 +449,13 @@ class BatchedExperimentEngine:
         depths = np.empty(
             (self.repetitions, max_rounds), dtype=np.int64
         )
-        profiler = active_profiler(self.registry)
+        seed_timer = self.registry.histogram("profile.seed_matrix.seconds")
+        hash_timer = self.registry.histogram("profile.hash_passes.seconds")
         word_draws = self._repetition_words(max_rounds, config.passive_tags)
-        for index, words in enumerate(word_draws):
-            with profiler.phase("hash_passes"):
+        for index in range(self.repetitions):
+            with seed_timer.time():
+                words = next(word_draws)
+            with hash_timer.time():
                 depths[index] = _repetition_depths(
                     spec, config, words, index
                 )
@@ -474,15 +480,14 @@ class BatchedExperimentEngine:
         from .shm import SharedArray
 
         registry = self.registry
-        profiler = active_profiler(registry)
-        with profiler.phase("seed_matrix"):
-            words_all = np.stack(
-                list(
-                    self._repetition_words(
-                        max_rounds, config.passive_tags
-                    )
-                )
-            )
+        seed_timer = registry.histogram("profile.seed_matrix.seconds")
+        word_draws = self._repetition_words(max_rounds, config.passive_tags)
+        rows = []
+        for _ in range(self.repetitions):
+            with seed_timer.time():
+                rows.append(next(word_draws))
+        words_all = np.stack(rows)
+        del rows
         words_segment = None
         depths_segment = None
         try:
@@ -495,24 +500,24 @@ class BatchedExperimentEngine:
                 np.int64,
                 registry=registry,
             )
-            shards = _shard_ranges(self.repetitions, workers)
-            with profiler.phase("hash_passes"):
-                _run_pool(
-                    workers,
-                    [
-                        (
-                            _grid_depths_worker,
-                            words_segment.spec,
-                            depths_segment.spec,
-                            shard_start,
-                            shard_stop,
-                            spec,
-                            config,
-                        )
-                        for shard_start, shard_stop in shards
-                    ],
-                    None,
-                )
+            _run_pool(
+                workers,
+                [
+                    partial(
+                        _grid_depths_shard,
+                        words_segment.spec,
+                        depths_segment.spec,
+                        shard_start,
+                        shard_stop,
+                        spec,
+                        config,
+                    )
+                    for shard_start, shard_stop in _shard_ranges(
+                        self.repetitions, workers
+                    )
+                ],
+                registry,
+            )
             # Copy out before the segment disappears.
             return depths_segment.array.copy()
         finally:
@@ -532,7 +537,8 @@ class BatchedExperimentEngine:
     ) -> "list[RepeatedEstimate]":
         """Reduce the shared depth matrix into one result per grid cell."""
         registry = self.registry
-        profiler = active_profiler(registry)
+        finalize_timer = registry.histogram("profile.finalize.seconds")
+        reduction_timer = registry.histogram("profile.reduction.seconds")
         health = registry.health if registry else None
         if registry:
             busy_table, idle_table = slot_outcome_tables(
@@ -544,7 +550,7 @@ class BatchedExperimentEngine:
         slot_cumulative = slots_table[depths].cumsum(axis=1)
         results = []
         for rounds in grid:
-            with profiler.phase("finalize"):
+            with finalize_timer.time():
                 cell_depths = depths[:, :rounds]
                 estimates = np.array(
                     [
@@ -561,7 +567,7 @@ class BatchedExperimentEngine:
                 estimates=estimates,
                 slots_per_run=total_slots / self.repetitions,
             )
-            with profiler.phase("reduction"):
+            with reduction_timer.time():
                 if registry:
                     rounds_done = rounds * self.repetitions
                     registry.counter("experiment.cells").inc()
@@ -614,24 +620,26 @@ def _shard_ranges(
     return ranges
 
 
-def _grid_depths_worker(
+def _grid_depths_shard(
     words_spec: object,
     depths_spec: object,
     start: int,
     stop: int,
     spec: WorkloadSpec,
     config: PetConfig,
-    reporter: object = None,
+    registry: MetricsRegistry,
 ) -> None:
-    """Worker-process entry: fill one repetition shard of the grid.
+    """One repetition shard of the grid's depth pass, in a worker.
 
     Attaches both parent-owned segments, writes depth rows
-    ``start:stop``, and detaches; never copies the word tensor or
-    unlinks anything (module-level so it pickles into the pool).
+    ``start:stop`` (timing each as a ``hash_passes`` phase), and
+    detaches; never copies the word tensor or unlinks anything
+    (module-level so it pickles into the pool).
     """
     from ..obs.registry import NULL_REGISTRY
     from .shm import SharedArray
 
+    hash_timer = registry.histogram("profile.hash_passes.seconds")
     words_segment = SharedArray.attach(
         words_spec, registry=NULL_REGISTRY
     )
@@ -643,9 +651,10 @@ def _grid_depths_worker(
             words = words_segment.array
             depths = depths_segment.array
             for index in range(start, stop):
-                depths[index] = _repetition_depths(
-                    spec, config, words[index], index
-                )
+                with hash_timer.time():
+                    depths[index] = _repetition_depths(
+                        spec, config, words[index], index
+                    )
         finally:
             depths_segment.close()
     finally:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,12 +19,7 @@ import numpy as np
 from ..analysis.stats import SeriesSummary, summarize
 from ..config import PAPER_RUNS_PER_POINT, PetConfig
 from ..errors import ConfigurationError
-from ..obs.profile import active_profiler
-from ..obs.progress import (
-    ProgressReporter,
-    ProgressTracker,
-    default_worker_id,
-)
+from ..obs.progress import ProgressTracker, default_worker_id
 from ..obs.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -141,22 +137,22 @@ class ExperimentRunner:
         full runs, at a fraction of the cost.
         """
         start = time.perf_counter()
-        profiler = active_profiler(self.registry)
+        histogram = self.registry.histogram
         with self.registry.span("cell", tier="sampled", n=n):
-            with profiler.phase("seed_matrix"):
+            with histogram("profile.seed_matrix.seconds").time():
                 rng = np.random.default_rng(
                     np.random.SeedSequence((self.base_seed, n, rounds))
                 )
                 simulator = SampledSimulator(
                     n, config=config, rng=rng, registry=self.registry
                 )
-            with profiler.phase("hash_passes"):
+            with histogram("profile.hash_passes.seconds").time():
                 estimates = simulator.estimate_batch(
                     rounds, self.repetitions
                 )
             # One representative run for slot accounting (slot counts are
             # almost surely constant for binary search, d+1 for linear).
-            with profiler.phase("reduction"):
+            with histogram("profile.reduction.seconds").time():
                 result = simulator.estimate(rounds=rounds)
         repeated = RepeatedEstimate(
             true_n=n,
@@ -386,9 +382,9 @@ class ExperimentRunner:
 
         ``progress`` turns on live reporting: pass ``True`` for a
         stderr status line with throughput and ETA, or a configured
-        :class:`~repro.obs.progress.ProgressTracker`.  Worker processes
-        stream heartbeats back over a ``multiprocessing`` queue; the
-        serial path updates the tracker directly.
+        :class:`~repro.obs.progress.ProgressTracker`.  The tracker
+        ticks in this process: after each serial cell, or as each pool
+        future completes.
         """
         if workers is not None and workers < 1:
             raise ConfigurationError(
@@ -404,54 +400,25 @@ class ExperimentRunner:
                 for n in sizes:
                     repeated = self.run_sampled(n, config, rounds)
                     if tracker is not None:
-                        tracker.cell_done(
-                            n=n,
-                            slots=int(
-                                repeated.slots_per_run
-                                * self.repetitions
-                            ),
-                            rounds=rounds * self.repetitions,
-                        )
+                        _tick(tracker, repeated)
                     results.append(repeated)
             else:
-                # Derive one child trace context per cell in the
-                # parent, so worker-side spans join the live trace
-                # (ids cross the pool as plain dicts and come back in
-                # the snapshots the parent merges).
-                sweep_trace = current_trace()
-                pairs = _run_pool(
+                results = _run_pool(
                     workers,
                     [
-                        (
-                            _sweep_cell,
+                        partial(
+                            _sampled_cell,
                             self.base_seed,
                             self.repetitions,
                             n,
                             config,
                             rounds,
-                            bool(self.registry),
-                            self.registry.profiler is not None,
-                            sweep_trace.child().to_dict()
-                            if sweep_trace is not None
-                            else None,
                         )
                         for n in sizes
                     ],
+                    self.registry,
                     tracker,
                 )
-                results = []
-                for repeated, snapshot in pairs:
-                    if snapshot is not None:
-                        self.registry.merge(snapshot)
-                    results.append(repeated)
-                # Worker registries cannot carry the parent's health
-                # monitor; feed it here so diagnostics see every cell.
-                health = self.registry.health if self.registry else None
-                if health is not None:
-                    for repeated in results:
-                        health.observe_estimates(
-                            repeated.estimates, repeated.rounds
-                        )
         seconds = time.perf_counter() - start
         if seconds > 0:
             self.registry.gauge("experiment.cells_per_second").set(
@@ -479,103 +446,105 @@ def _make_tracker(
     return progress
 
 
+def _tick(
+    tracker: ProgressTracker,
+    result: "RepeatedEstimate | ProtocolCellResult",
+) -> None:
+    """Tick ``tracker`` for one finished cell."""
+    runs = len(result.estimates)
+    tracker.cell_done(
+        n=result.true_n,
+        slots=int(result.slots_per_run * runs),
+        rounds=result.rounds * runs,
+    )
+
+
 def _run_pool(
     workers: int,
-    submissions: "list[tuple]",
-    tracker: "ProgressTracker | None",
+    cells: "list[Callable[[MetricsRegistry], object]]",
+    registry: MetricsRegistry,
+    tracker: "ProgressTracker | None" = None,
 ) -> list:
-    """Fan submissions out over a process pool, draining heartbeats.
+    """Run cell functions over a process pool; results in submission order.
 
-    Each submission is ``(fn, *args)``; the worker function's final
-    argument slot receives the :class:`ProgressReporter` (or ``None``
-    when no tracker is active).  Results come back in submission order.
-    A ``multiprocessing.Manager`` queue carries the heartbeats — plain
-    ``multiprocessing.Queue`` objects cannot cross a
-    ``ProcessPoolExecutor`` submit boundary.
+    Each cell is a picklable callable taking the registry it records
+    into; :func:`_pool_cell` runs it in a worker against a private
+    registry (when ``registry`` is real) under a per-cell child of the
+    live trace context, so worker spans join the parent's trace.  The
+    parent ticks ``tracker`` as each future completes, then merges the
+    worker snapshots in submission order and feeds every result's
+    finite estimates to the parent's health monitor, which worker
+    registries cannot carry.
     """
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    manager = None
-    queue = None
-    reporter = None
-    if tracker is not None:
-        import multiprocessing
+    collect = bool(registry)
+    sweep_trace = current_trace()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(
+                _pool_cell,
+                cell,
+                collect,
+                sweep_trace.child().to_dict()
+                if sweep_trace is not None
+                else None,
+            )
+            for cell in cells
+        ]
+        if tracker is not None:
+            for future in as_completed(futures):
+                _tick(tracker, future.result()[0])
+        pairs = [future.result() for future in futures]
+    for _, snapshot in pairs:
+        if snapshot is not None:
+            registry.merge(snapshot)
+    health = registry.health if registry else None
+    results = [result for result, _ in pairs]
+    if health is not None:
+        for result in results:
+            if result is None:
+                continue
+            finite = result.estimates[np.isfinite(result.estimates)]
+            if finite.size:
+                health.observe_estimates(finite, result.rounds)
+    return results
 
-        manager = multiprocessing.Manager()
-        queue = manager.Queue()
-        reporter = ProgressReporter(queue)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fn, *args, reporter)
-                for fn, *args in submissions
-            ]
-            pending = set(futures)
-            while pending:
-                _, pending = wait(
-                    pending,
-                    timeout=0.2 if queue is not None else None,
-                )
-                if tracker is not None and queue is not None:
-                    tracker.drain(queue)
-            results = [future.result() for future in futures]
-        if tracker is not None and queue is not None:
-            tracker.drain(queue)
-        return results
-    finally:
-        if manager is not None:
-            manager.shutdown()
 
+def _pool_cell(
+    cell: "Callable[[MetricsRegistry], object]",
+    collect: bool,
+    trace_context: "dict | None",
+) -> "tuple[object, RegistrySnapshot | None]":
+    """Worker-process entry of every process-pool sweep.
 
-def _sweep_cell(
-    base_seed: int,
-    repetitions: int,
-    n: int,
-    config: PetConfig,
-    rounds: int,
-    collect: bool = False,
-    profile: bool = False,
-    trace_context: "dict | None" = None,
-    reporter: "ProgressReporter | None" = None,
-) -> "tuple[RepeatedEstimate, RegistrySnapshot | None]":
-    """Worker-process entry: one sweep cell (module-level, picklable).
-
-    Returns the cell result plus, when ``collect`` is set, a snapshot
-    of everything the worker's private registry recorded — the parent
-    merges it so no worker-side telemetry is lost.  ``profile``
-    mirrors the parent having a profiler attached: the worker's phase
-    timings land in ``profile.*.seconds`` histograms, which merge up.
-    ``trace_context`` is the parent-derived
-    :meth:`~repro.obs.tracectx.TraceContext.to_dict` for this cell;
-    installing it makes the worker's spans children of the parent's
-    live ``sweep`` span (ids ride back inside the snapshot).
+    Runs ``cell`` against a private registry when ``collect`` is set
+    (the null registry otherwise) with ``trace_context`` — the
+    parent-derived :meth:`~repro.obs.tracectx.TraceContext.to_dict`
+    for this cell — installed, and returns the result plus a snapshot
+    of everything the worker recorded, phase timings included.
     """
     registry = MetricsRegistry() if collect else NULL_REGISTRY
-    if profile and collect:
-        from ..obs.profile import PhaseProfiler
-
-        registry.attach_diagnostics(
-            profiler=PhaseProfiler(registry=registry)
-        )
-    runner = ExperimentRunner(
-        base_seed=base_seed, repetitions=repetitions, registry=registry
-    )
-    if reporter is not None:
-        reporter.emit(phase="start", n=n, force=True)
     with use_trace_context(TraceContext.from_dict(trace_context)):
-        repeated = runner.run_sampled(n, config, rounds)
-    if reporter is not None:
-        reporter.emit(
-            phase="done",
-            cells_done=1,
-            slots=int(repeated.slots_per_run * repetitions),
-            rounds=rounds * repetitions,
-            n=n,
-            force=True,
-        )
+        result = cell(registry)
     snapshot = (
         registry.snapshot(worker_id=default_worker_id())
         if collect
         else None
     )
-    return repeated, snapshot
+    return result, snapshot
+
+
+def _sampled_cell(
+    base_seed: int,
+    repetitions: int,
+    n: int,
+    config: PetConfig,
+    rounds: int,
+    registry: MetricsRegistry,
+) -> RepeatedEstimate:
+    """One sampled-tier sweep cell (module-level, so it pickles)."""
+    runner = ExperimentRunner(
+        base_seed=base_seed, repetitions=repetitions, registry=registry
+    )
+    return runner.run_sampled(n, config, rounds)

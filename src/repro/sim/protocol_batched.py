@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from ..analysis.stats import SeriesSummary, summarize
 from ..config import PAPER_RUNS_PER_POINT
 from ..errors import ConfigurationError, EstimationError
-from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry, get_registry
 from ..protocols.base import (
     BatchedRoundEngine,
@@ -75,11 +75,21 @@ def seed_matrix(
     children = np.random.SeedSequence(base_seed).spawn(repetitions)
     seeds = np.empty((repetitions, draws), dtype=np.uint64)
     for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        seeds[index] = rng.integers(
-            0, 2**64, size=draws, dtype=np.uint64
-        ) >> np.uint64(1)
+        seeds[index] = round_seeds(np.random.default_rng(child), draws)
     return seeds
+
+
+def round_seeds(rng: np.random.Generator, draws: int) -> np.ndarray:
+    """``draws`` engine-protocol round seeds from one generator.
+
+    One full-range ``uint64`` word per draw, shifted down to 63 bits:
+    bit-identical to ``draws`` scalar ``int(rng.integers(0, 2**63))``
+    calls.  :func:`seed_matrix` rows and the serve tier's fused engine
+    groups both draw through here.
+    """
+    return rng.integers(
+        0, 2**64, size=draws, dtype=np.uint64
+    ) >> np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -206,7 +216,7 @@ def run_protocol_cell(
         )
     if registry is None:
         registry = get_registry()
-    profiler = active_profiler(registry)
+    histogram = registry.histogram
     start = time.perf_counter()
     with registry.span(
         "cell",
@@ -214,7 +224,7 @@ def run_protocol_cell(
         protocol=protocol.name,
         n=population.size,
     ):
-        with profiler.phase("seed_matrix"):
+        with histogram("profile.seed_matrix.seconds").time():
             draws = rounds * engine.draws_per_round
             if seeds is None:
                 seeds = seed_matrix(base_seed, repetitions, draws)
@@ -223,9 +233,9 @@ def run_protocol_cell(
                     f"supplied seed matrix has shape {seeds.shape}, "
                     f"cell needs {(repetitions, draws)}"
                 )
-        with profiler.phase("hash_passes"):
+        with histogram("profile.hash_passes.seconds").time():
             statistics = _chunked_statistics(engine, seeds, population)
-        with profiler.phase("finalize"):
+        with histogram("profile.finalize.seconds").time():
             estimates = np.empty(repetitions)
             saturated = 0
             for index in range(repetitions):
@@ -288,7 +298,7 @@ def _observe_cell(
         return
     prefix = f"protocol.{result.protocol}"
     repetitions = result.repetitions
-    with active_profiler(registry).phase("reduction"):
+    with registry.histogram("profile.reduction.seconds").time():
         registry.counter(f"{prefix}.runs").inc(repetitions)
         registry.counter(f"{prefix}.rounds").inc(
             repetitions * result.rounds
@@ -408,7 +418,7 @@ def sweep_protocol_cells(
     re-derived (or pickled) per cell; serial sweeps slice a plain
     in-process array and never touch shared memory.
     """
-    from .experiment import _make_tracker, _run_pool
+    from .experiment import _make_tracker, _run_pool, _tick
 
     if workers is not None and workers < 1:
         raise ConfigurationError(
@@ -452,11 +462,7 @@ def sweep_protocol_cells(
                     seeds=seeds,
                 )
                 if tracker is not None:
-                    tracker.cell_done(
-                        n=spec.n,
-                        slots=result.slots_per_run * repetitions,
-                        rounds=spec.rounds * repetitions,
-                    )
+                    _tick(tracker, result)
                 results.append(result)
         else:
             segment = None
@@ -470,53 +476,29 @@ def sweep_protocol_cells(
                     registry=registry,
                 )
             try:
-                # Per-cell child contexts keep worker spans inside
-                # the live trace (see ExperimentRunner.sweep).
-                from ..obs.tracectx import current_trace
-
-                sweep_trace = current_trace()
-                pairs = _run_pool(
+                results = _run_pool(
                     workers,
                     [
-                        (
-                            _sweep_protocol_cell,
+                        partial(
+                            _protocol_cell,
                             spec,
                             repetitions,
                             base_seed,
                             on_error,
-                            bool(registry),
-                            registry.profiler is not None,
                             segment.spec if segment else None,
                             draws_by_spec[index]
                             if draws_by_spec is not None
                             else 0,
-                            sweep_trace.child().to_dict()
-                            if sweep_trace is not None
-                            else None,
                         )
                         for index, spec in enumerate(specs)
                     ],
+                    registry,
                     tracker,
                 )
             finally:
                 if segment is not None:
                     segment.close()
                     segment.unlink(registry=registry)
-            results = []
-            for result, snapshot in pairs:
-                if snapshot is not None:
-                    registry.merge(snapshot)
-                results.append(result)
-            # Worker registries cannot carry the parent's health
-            # monitor; feed it here so diagnostics see every cell.
-            health = registry.health if registry else None
-            if health is not None:
-                for result in results:
-                    finite = result.estimates[
-                        np.isfinite(result.estimates)
-                    ]
-                    if finite.size:
-                        health.observe_estimates(finite, result.rounds)
     seconds = time.perf_counter() - start
     if seconds > 0:
         registry.gauge("experiment.cells_per_second").set(
@@ -527,82 +509,40 @@ def sweep_protocol_cells(
     return results
 
 
-def _sweep_protocol_cell(
+def _protocol_cell(
     spec: ProtocolCellSpec,
     repetitions: int,
     base_seed: int,
     on_error: str,
-    collect: bool = False,
-    profile: bool = False,
-    seeds_spec: object = None,
-    draws: int = 0,
-    trace_context: "dict | None" = None,
-    reporter: object = None,
-) -> tuple[ProtocolCellResult, object]:
-    """Worker-process entry: one sweep cell (module-level, picklable).
+    seeds_spec: object,
+    draws: int,
+    registry: MetricsRegistry,
+) -> ProtocolCellResult:
+    """One comparison sweep cell (module-level, so it pickles).
 
-    Returns the cell result plus, when ``collect`` is set, a snapshot
-    of everything the worker's private registry recorded — the parent
-    merges it so no worker-side telemetry is lost.  ``profile``
-    mirrors the parent having a profiler attached: the worker's phase
-    timings land in ``profile.*.seconds`` histograms, which merge up.
     ``seeds_spec`` optionally names a parent-owned shared-memory seed
     matrix; the worker attaches, slices this cell's ``draws``-column
     prefix, and detaches — it never copies or unlinks the segment.
-    ``trace_context`` is the parent-derived trace position for this
-    cell; installing it makes worker spans children of the parent's
-    live ``sweep`` span (ids ride back inside the snapshot).
     """
-    from ..obs.progress import default_worker_id
-    from ..obs.registry import NULL_REGISTRY
-    from ..obs.tracectx import TraceContext, use_trace_context
-
-    worker_registry = MetricsRegistry() if collect else NULL_REGISTRY
-    if profile and collect:
-        from ..obs.profile import PhaseProfiler
-
-        worker_registry.attach_diagnostics(
-            profiler=PhaseProfiler(registry=worker_registry)
-        )
     protocol, population = spec.build()
-    if reporter is not None:
-        reporter.emit(phase="start", n=spec.n, force=True)
     segment = None
     seeds = None
     if seeds_spec is not None:
         from .shm import SharedArray
 
-        segment = SharedArray.attach(
-            seeds_spec, registry=worker_registry
-        )
+        segment = SharedArray.attach(seeds_spec, registry=registry)
         seeds = segment.array[:, :draws]
     try:
-        with use_trace_context(TraceContext.from_dict(trace_context)):
-            result = run_protocol_cell(
-                protocol,
-                population,
-                rounds=spec.rounds,
-                repetitions=repetitions,
-                base_seed=base_seed,
-                registry=worker_registry,
-                on_error=on_error,
-                seeds=seeds,
-            )
+        return run_protocol_cell(
+            protocol,
+            population,
+            rounds=spec.rounds,
+            repetitions=repetitions,
+            base_seed=base_seed,
+            registry=registry,
+            on_error=on_error,
+            seeds=seeds,
+        )
     finally:
         if segment is not None:
             segment.close()
-    if reporter is not None:
-        reporter.emit(
-            phase="done",
-            cells_done=1,
-            slots=result.slots_per_run * repetitions,
-            rounds=spec.rounds * repetitions,
-            n=spec.n,
-            force=True,
-        )
-    snapshot = (
-        worker_registry.snapshot(worker_id=default_worker_id())
-        if collect
-        else None
-    )
-    return result, snapshot

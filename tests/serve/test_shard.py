@@ -6,6 +6,8 @@ stream produces the same shard assignment and the same responses for
 adjudicates before anything crosses a process boundary.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,37 @@ class TestMergedTelemetry:
         assert (
             per_shard_hits == snapshot.counters["serve.cache.hits"]
         )
+
+
+class TestCollector:
+    def test_quiet_shard_does_not_delay_a_busy_sibling(self):
+        # Every request routes to shard 1, the shard the collector
+        # visits second; shard 0 stays silent.  Answers must not wait
+        # out a poll timeout on the quiet shard first.
+        from repro.serve.shard import _COLLECT_POLL_SECONDS
+
+        requests = [
+            request
+            for request in (
+                EstimateRequest(
+                    population=200,
+                    population_seed=seed,
+                    seed=seed,
+                    rounds=8,
+                    request_id=f"busy-{seed}",
+                )
+                for seed in range(64)
+            )
+            if route_shard(request, 2) == 1
+        ][:9]
+        assert len(requests) == 9
+        service = ShardedService(shards=2, registry=MetricsRegistry())
+        with service:
+            service.submit(requests[0]).result(timeout=30)  # warm-up
+            waits = []
+            for request in requests[1:]:
+                start = time.perf_counter()
+                response = service.submit(request).result(timeout=30)
+                waits.append(time.perf_counter() - start)
+                assert response.status == "ok"
+        assert max(waits) < _COLLECT_POLL_SECONDS / 5, waits

@@ -13,10 +13,16 @@ import json
 import subprocess
 import sys
 import textwrap
+from functools import partial
 
 from repro.config import PetConfig
-from repro.obs import MetricsRegistry, TraceContext, use_trace_context
-from repro.sim.experiment import ExperimentRunner, _sweep_cell
+from repro.obs import (
+    MetricsRegistry,
+    TraceContext,
+    default_worker_id,
+    use_trace_context,
+)
+from repro.sim.experiment import ExperimentRunner, _pool_cell, _sampled_cell
 from repro.sim.protocol_batched import (
     ProtocolCellSpec,
     sweep_protocol_cells,
@@ -30,12 +36,15 @@ def _traced_spans(registry):
     ]
 
 
+def _cell():
+    return partial(_sampled_cell, 1, 2, 100, PetConfig(), 4)
+
+
 class TestSweepCellWorkerEntry:
     def test_installs_and_clears_the_given_context(self):
         ctx = TraceContext.root().child()
-        _, snapshot = _sweep_cell(
-            1, 2, 100, PetConfig(), 4, True, False, ctx.to_dict()
-        )
+        _, snapshot = _pool_cell(_cell(), True, ctx.to_dict())
+        assert snapshot.worker_id == default_worker_id()
         traced = [
             record for record in snapshot.spans
             if record.trace_id is not None
@@ -51,9 +60,7 @@ class TestSweepCellWorkerEntry:
         }
 
     def test_none_context_means_untraced_spans(self):
-        _, snapshot = _sweep_cell(
-            1, 2, 100, PetConfig(), 4, True, False, None
-        )
+        _, snapshot = _pool_cell(_cell(), True, None)
         assert all(
             record.trace_id is None for record in snapshot.spans
         )
