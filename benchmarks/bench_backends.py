@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Measure the kernel-backend tier and the shared-memory sweep paths.
+"""Measure the kernel-backend tier and the shared rounds-grid sweep.
 
 Produces ``BENCH_backends.json``: the committed record
-``bench_guard --backends`` enforces.  Three cells:
+``bench_guard --backends`` enforces.  Two cells:
 
 * ``splitmix_clz_micro`` — the three backend kernel primitives
   (vectorized SplitMix64, leading-zero count, clamped bucketing) on a
@@ -16,14 +16,11 @@ Produces ``BENCH_backends.json``: the committed record
   (one :meth:`BatchedExperimentEngine.run_cell` per grid value, each
   re-deriving populations/codes/words) vs
   :meth:`ExperimentRunner.sweep_rounds`, which derives one shared
-  depth matrix and reduces every cell as a prefix — with a worker pool
-  attached through zero-copy shared-memory segments.  The guard
-  enforces ``>= 1.2x`` here; the honest win is avoided re-derivation,
-  not parallelism, so the floor holds even on single-core runners.
-* ``protocol_sweep_shared`` — the cross-protocol sweep with
-  ``share_seeds=True`` vs the per-cell re-derive default (recorded for
-  bit-identity and visibility; seed derivation is a small fraction of
-  protocol cells, so no speedup floor is enforced).
+  depth matrix and reduces every cell as a prefix — over a worker
+  pool whose workers each return their repetitions' depth rows.  The
+  guard enforces ``>= 1.2x`` here; the honest win is avoided
+  re-derivation, not parallelism, so the floor holds even on
+  single-core runners.
 
 Run with::
 
@@ -44,10 +41,6 @@ from repro.config import PetConfig
 from repro.obs import MetricsRegistry
 from repro.sim.backends import available_backends, get_backend
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.protocol_batched import (
-    ProtocolCellSpec,
-    sweep_protocol_cells,
-)
 from repro.sim.workload import WorkloadSpec
 
 DEFAULT_OUT = (
@@ -183,51 +176,7 @@ def measure_fig4_grid(
         "workers": workers,
         "floor": GRID_SHARED_FLOOR,
         "before": "run_cell per grid value (re-derives every cell)",
-        "after": "sweep_rounds shared depth matrix over shm workers",
-        "before_seconds": round(before_seconds, 3),
-        "after_seconds": round(after_seconds, 3),
-        "speedup": round(before_seconds / after_seconds, 2),
-        "bit_identical": bit_identical,
-    }
-
-
-def measure_protocol_sweep(
-    repetitions: int = 50, workers: int = 2
-) -> dict:
-    """``protocol_sweep_shared``: share_seeds vs per-cell derivation."""
-    specs = [
-        ProtocolCellSpec("lof", 256, rounds)
-        for rounds in (100, 200, 400)
-    ] + [
-        ProtocolCellSpec("fneb", 256, rounds)
-        for rounds in (100, 200, 400)
-    ]
-
-    def run(share: bool):
-        return sweep_protocol_cells(
-            specs,
-            repetitions=repetitions,
-            base_seed=BASE_SEED,
-            workers=workers,
-            registry=MetricsRegistry(),
-            share_seeds=share,
-        )
-
-    before_seconds, baseline = _best_of(
-        TIMING_REPEATS, lambda: run(False)
-    )
-    after_seconds, shared = _best_of(TIMING_REPEATS, lambda: run(True))
-    bit_identical = all(
-        a.estimates.tolist() == b.estimates.tolist()
-        for a, b in zip(baseline, shared)
-    )
-    return {
-        "name": "protocol_sweep_shared",
-        "cells": len(specs),
-        "repetitions": repetitions,
-        "workers": workers,
-        "before": "per-cell seed_matrix derivation",
-        "after": "one shm seed matrix, prefix-sliced per cell",
+        "after": "sweep_rounds shared depth matrix over pool workers",
         "before_seconds": round(before_seconds, 3),
         "after_seconds": round(after_seconds, 3),
         "speedup": round(before_seconds / after_seconds, 2),
@@ -242,7 +191,6 @@ def measure_all() -> dict:
         "cells": {
             "splitmix_clz_micro": measure_micro(),
             "fig4_grid_shared": measure_fig4_grid(),
-            "protocol_sweep_shared": measure_protocol_sweep(),
         },
         "available_backends": list(available_backends()),
         "environment": {
@@ -272,14 +220,13 @@ def main() -> int:
         )
     if micro["skipped"]:
         print(f"micro skipped (not installed): {micro['skipped']}")
-    for key in ("fig4_grid_shared", "protocol_sweep_shared"):
-        cell = record["cells"][key]
-        print(
-            f"{key:22s} before={cell['before_seconds']:8.3f}s  "
-            f"after={cell['after_seconds']:7.3f}s  "
-            f"speedup={cell['speedup']:5.2f}x  "
-            f"bit_identical={cell['bit_identical']}"
-        )
+    cell = record["cells"]["fig4_grid_shared"]
+    print(
+        f"fig4_grid_shared       before={cell['before_seconds']:8.3f}s  "
+        f"after={cell['after_seconds']:7.3f}s  "
+        f"speedup={cell['speedup']:5.2f}x  "
+        f"bit_identical={cell['bit_identical']}"
+    )
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"measurements written to {args.out}")
     return 0

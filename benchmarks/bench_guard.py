@@ -81,8 +81,8 @@ re-measured on this machine and the guard fails when
   numpy reference (numba is *skipped*, not failed, when it is not
   installed — numpy-only environments stay green),
 * numba, when installed, falls below the 1.5x microbench floor,
-* the shared-seed sweep paths stop being bit-identical to their
-  per-cell re-derive baselines,
+* the shared rounds-grid sweep stops being bit-identical to its
+  per-cell re-derive baseline,
 * the shared rounds-grid sweep falls below its absolute 1.2x floor or
   regresses more than the threshold (default 50 % in this mode — the
   worker-pool leg is scheduling-noisy on small cells and the absolute
@@ -543,7 +543,7 @@ def run_backends_guard(args: argparse.Namespace) -> int:
 
     from repro.sim.backends import available_backends
 
-    # Default tolerance is looser here than in --protocols: the shared
+    # Default tolerance is looser here than in --protocols: the grid
     # sweep's "after" leg runs a worker pool, and pool scheduling noise
     # on small cells swings the ratio; the absolute 1.2x floor is the
     # binding contract.
@@ -586,50 +586,46 @@ def run_backends_guard(args: argparse.Namespace) -> int:
             "(install the [jit] extra to exercise it)"
         )
 
-    # --- sweep cells: bit-identity always; the grid cell also has an
-    # absolute floor plus a relative bound against the committed record.
-    for name in ("fig4_grid_shared", "protocol_sweep_shared"):
-        cell = fresh["cells"][name]
-        if not cell["bit_identical"]:
-            failures.append(
-                f"{name}: shared-seed path is no longer bit-identical "
-                f"to the per-cell re-derive baseline"
-            )
-        recorded_cell = recorded_cells.get(name)
-        recorded = (
-            float(recorded_cell["speedup"]) if recorded_cell else None
+    # --- the grid cell: bit-identity, an absolute floor, and a relative
+    # bound against the committed record.
+    name = "fig4_grid_shared"
+    cell = fresh["cells"][name]
+    if not cell["bit_identical"]:
+        failures.append(
+            f"{name}: shared grid is no longer bit-identical to the "
+            f"per-cell re-derive baseline"
         )
-        line = (
-            f"{name:22s} {cell['speedup']:5.2f}x on this machine  "
-            f"bit_identical={cell['bit_identical']}"
+    floor = bench.GRID_SHARED_FLOOR
+    if cell["speedup"] < floor:
+        failures.append(
+            f"{name}: speedup {cell['speedup']:.2f}x is below "
+            f"the absolute {floor:.1f}x floor"
         )
-        if name == "fig4_grid_shared":
-            floor = bench.GRID_SHARED_FLOOR
-            if cell["speedup"] < floor:
-                failures.append(
-                    f"{name}: speedup {cell['speedup']:.2f}x is below "
-                    f"the absolute {floor:.1f}x floor"
-                )
-            if recorded is not None:
-                relative_floor = recorded * (1.0 - threshold)
-                if cell["speedup"] < relative_floor:
-                    failures.append(
-                        f"{name}: speedup regressed to "
-                        f"{cell['speedup']:.2f}x vs {recorded:.2f}x "
-                        f"recorded (floor {relative_floor:.2f}x at "
-                        f"{threshold:.0%} tolerance)"
-                    )
-                line += (
-                    f"  (recorded {recorded:.2f}x, "
-                    f"floors {floor:.1f}x abs / "
-                    f"{recorded * (1.0 - threshold):.2f}x rel)"
-                )
-        if recorded_cell is None:
+    line = (
+        f"{name:22s} {cell['speedup']:5.2f}x on this machine  "
+        f"bit_identical={cell['bit_identical']}"
+    )
+    recorded_cell = recorded_cells.get(name)
+    if recorded_cell is None:
+        failures.append(
+            f"cell {name} is measured but missing from the "
+            f"committed record (re-run bench_backends)"
+        )
+    else:
+        recorded = float(recorded_cell["speedup"])
+        relative_floor = recorded * (1.0 - threshold)
+        if cell["speedup"] < relative_floor:
             failures.append(
-                f"cell {name} is measured but missing from the "
-                f"committed record (re-run bench_backends)"
+                f"{name}: speedup regressed to "
+                f"{cell['speedup']:.2f}x vs {recorded:.2f}x "
+                f"recorded (floor {relative_floor:.2f}x at "
+                f"{threshold:.0%} tolerance)"
             )
-        print(line)
+        line += (
+            f"  (recorded {recorded:.2f}x, "
+            f"floors {floor:.1f}x abs / {relative_floor:.2f}x rel)"
+        )
+    print(line)
 
     # The committed record itself must assert bit-identity everywhere —
     # a record regenerated from a broken tree must not pass review.

@@ -33,13 +33,12 @@ Design invariants:
   service; under the same seed the response is byte-identical
   regardless of shard count or cache state (``bench_guard --serve``
   asserts the full {1,2,4} × {cache on,off} matrix).
-* **Zero-copy shared populations.**  Requests naming a synthesized
-  population (``population_seed``) share one
-  :class:`~repro.sim.shm.SharedArray` of tag IDs per ``(size, seed)``
-  field: the router synthesizes once, ships the picklable spec with
-  the first request routed to each shard, and the worker attaches and
-  wraps it via :meth:`~repro.tags.population.TagPopulation.from_sorted_ids`
-  without copying or re-deriving IDs.
+* **Per-shard population synthesis.**  A request naming a
+  synthesized population (``population_seed``) crosses the hop as the
+  request alone; the owning shard's service synthesizes the tag IDs
+  from ``(size, population_seed)`` once and caches them, exactly as
+  the single-process service does: at most once per field per shard,
+  in the worker and outside the router's lock.
 * **Telemetry merges home — live, not just at shutdown.**  Each
   worker runs its own :class:`~repro.obs.registry.MetricsRegistry`.
   With ``ServiceConfig.snapshot_interval_seconds`` set, every worker
@@ -130,8 +129,6 @@ from ..obs.registry import (
 )
 from ..obs.slo import merge_slo_gauges, publish_shard_slo
 from ..obs.tracectx import TraceContext, current_trace
-from ..sim.shm import SharedArray, SharedArraySpec
-from ..tags.population import TagPopulation
 from .service import EstimationService, ServiceConfig
 
 #: Longest the collector waits for any shard before re-checking
@@ -184,14 +181,7 @@ def route_shard(request: EstimateRequest, shards: int) -> int:
 
 
 def _mp_context():
-    """Fork when available (cheap, shares imports), else spawn.
-
-    Resolving the *global* default start method here (a no-op pin to
-    the platform default) matters for shared memory: with it unset,
-    :meth:`SharedArray.attach`'s cpython#82300 guard cannot tell fork
-    from spawn and mis-books the attach with the resource tracker.
-    """
-    multiprocessing.get_start_method(allow_none=False)
+    """Fork when available (cheap, shares imports), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -212,8 +202,7 @@ def _shard_worker(
 
     Message protocol (all picklable):
 
-    * in: ``(ticket, request, ingress, population_payload)`` or the
-      ``None`` stop sentinel;
+    * in: ``(ticket, request, ingress)`` or the ``None`` stop sentinel;
     * out: ``("response", index, ticket, response)`` per request;
       with ``snapshot_interval_seconds`` set, periodic
       ``("telemetry", index, payload)`` heartbeats whose payload
@@ -242,8 +231,6 @@ def _shard_worker(
             if interval
             else None
         )
-        # SharedArray handles must outlive every request using them.
-        attached: dict[tuple, SharedArray] = {}
 
         def _telemetry_message(final: bool = False) -> tuple:
             # Force-publish the SLO window totals first so every delta
@@ -312,25 +299,7 @@ def _shard_worker(
                         )
                         if message is None:
                             break
-                        ticket, request, ingress, payload = message
-                        if payload is not None:
-                            key, spec = payload
-                            if key not in attached:
-                                shared = SharedArray.attach(
-                                    spec, registry=registry
-                                )
-                                attached[key] = shared
-                                # Pre-seed the service's population
-                                # cache: resolve_request keys
-                                # synthesized populations by
-                                # (size, population_seed), so the
-                                # shm-backed view substitutes for
-                                # re-synthesis, bit-identically.
-                                service._population_cache[key] = (
-                                    TagPopulation.from_sorted_ids(
-                                        shared.array
-                                    )
-                                )
+                        ticket, request, ingress = message
                         task = loop.create_task(
                             _serve_one(ticket, request, ingress)
                         )
@@ -347,8 +316,6 @@ def _shard_worker(
                             pass
 
         asyncio.run(_main())
-        for shared in attached.values():
-            shared.close()
         if registry:
             if snapshotter is not None:
                 # The shutdown flush is a delta too, so the router's
@@ -627,8 +594,6 @@ class ShardedService:
         self._accepting = False
         self._snapshots: list = []
         self._fatal: list[str] = []
-        self._shared_populations: dict[tuple, SharedArray] = {}
-        self._published: set[tuple] = set()
         #: Live fleet state; set by :meth:`start` when snapshot
         #: streaming is on (telemetry collected and
         #: ``snapshot_interval_seconds`` configured).
@@ -641,14 +606,6 @@ class ShardedService:
         if self._processes:
             raise ServiceError("sharded service is already started")
         collect = bool(self._registry)
-        # Start the shared-memory resource tracker *before* forking:
-        # forked workers must inherit the live tracker so attach
-        # registrations deduplicate against the router's create
-        # instead of spawning per-worker trackers that warn (and try
-        # to clean) at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         if collect and self.config.snapshot_interval_seconds:
             self.fleet = FleetStatus(
                 shards=self.shards,
@@ -687,7 +644,7 @@ class ShardedService:
         return self
 
     def stop(self) -> None:
-        """Drain every shard, merge telemetry home, release memory."""
+        """Drain every shard and merge its telemetry home."""
         if not self._processes:
             raise ServiceError("sharded service was never started")
         self._accepting = False
@@ -729,11 +686,6 @@ class ShardedService:
             self.fleet.mark_stopped()
             if registry:
                 self.fleet.refresh(registry)
-        for shared in self._shared_populations.values():
-            shared.close()
-            shared.unlink(registry=registry if registry else None)
-        self._shared_populations.clear()
-        self._published.clear()
         # The never-lose-a-caller contract: anything still pending
         # after every shard drained (a fatal shard) gets an error.
         with self._lock:
@@ -859,7 +811,6 @@ class ShardedService:
                 shard=shard,
                 trace=trace,
             )
-            payload = self._population_payload(request, shard)
         if registry:
             registry.counter("serve.router.requests").inc()
             registry.counter(f"serve.shard.{shard}.routed").inc()
@@ -874,40 +825,8 @@ class ShardedService:
             shipped = dataclasses.replace(
                 request, trace_context=trace
             )
-        self._request_queues[shard].put(
-            (ticket, shipped, ingress, payload)
-        )
+        self._request_queues[shard].put((ticket, shipped, ingress))
         return future
-
-    def _population_payload(self, request: EstimateRequest, shard: int):
-        """Shared-population handle for ``request``'s first hop, if any.
-
-        Called under the router lock.  Synthesizes the population once
-        per ``(size, population_seed)`` field, copies it into shared
-        memory, and ships the spec with the first request routed to
-        each shard; later requests resolve from the worker's cache.
-        """
-        if (
-            request.population_seed is None
-            or not isinstance(request.population, (int, np.integer))
-            or int(request.population) <= 0
-        ):
-            return None
-        key = (int(request.population), int(request.population_seed))
-        shared = self._shared_populations.get(key)
-        if shared is None:
-            population = TagPopulation.random(
-                key[0], np.random.default_rng(key[1])
-            )
-            shared = SharedArray.create(
-                population.tag_ids,
-                registry=self._registry if self._registry else None,
-            )
-            self._shared_populations[key] = shared
-        if (shard, key) in self._published:
-            return None
-        self._published.add((shard, key))
-        return (key, shared.spec)
 
     def _reject(
         self,

@@ -34,9 +34,9 @@ populations and scenarios.
 Execution substrate
 -------------------
 :mod:`~repro.sim.backends` selects the kernel backend every vectorized
-hash pass runs on (``numpy`` reference, optional ``numba`` JIT);
-:mod:`~repro.sim.shm` provides the zero-copy shared-memory arrays the
-parallel sweeps ship seed and depth matrices through.
+hash pass runs on (``numpy`` reference, optional ``numba`` JIT).
+Parallel sweeps need no shared state: every cell and repetition
+re-derives its seeds from ``(base_seed, index)`` inside its worker.
 """
 
 from .backends import (
@@ -46,7 +46,6 @@ from .backends import (
     use_backend,
 )
 from .batched import BatchedExperimentEngine
-from .shm import SharedArray, SharedArraySpec
 from .experiment import ExperimentRunner, RepeatedEstimate
 from .multireader import MultiReaderSimulator
 from .persist import load_experiment, save_experiment
@@ -86,6 +85,4 @@ __all__ = [
     "get_backend",
     "set_active_backend",
     "use_backend",
-    "SharedArray",
-    "SharedArraySpec",
 ]

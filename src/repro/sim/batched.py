@@ -252,8 +252,11 @@ class BatchedExperimentEngine:
         with registry.span(
             "cell", tier="batched", n=spec.size, rounds=rounds
         ):
-            word_draws = self._repetition_words(
-                rounds, config.passive_tags
+            word_draws = _repetition_words(
+                self.base_seed,
+                self.repetitions,
+                rounds,
+                config.passive_tags,
             )
             estimates = np.empty(self.repetitions)
             total_slots = 0
@@ -355,14 +358,12 @@ class BatchedExperimentEngine:
         the grid-equivalence tests), at roughly ``max_m / sum(grid)``
         of the work.
 
-        ``workers`` fans the repetitions out over a process pool: the
-        parent derives the word matrix into a zero-copy
-        :class:`~repro.sim.shm.SharedArray`, workers fill disjoint row
-        shards of a shared depth matrix, and the parent reduces every
-        grid cell.  ``None``/``0``/``1`` runs serially in-process and
-        never allocates a shared-memory segment.  ``progress`` is a
-        sweep-style tracker (``True`` or a
-        :class:`~repro.obs.progress.ProgressTracker`); cells tick as
+        ``workers`` fans the repetitions out over a process pool: each
+        worker re-derives its row shard's words from ``(base_seed,
+        index)``, returns its depth rows, and the parent stacks them and
+        reduces every grid cell.  ``None``/``1`` runs serially
+        in-process.  ``progress`` is a sweep-style tracker (``True`` or
+        a :class:`~repro.obs.progress.ProgressTracker`); cells tick as
         they are reduced.
 
         Telemetry is cell-equivalent for counters (``experiment.*``,
@@ -370,7 +371,7 @@ class BatchedExperimentEngine:
         timing: the shared depth pass cannot be attributed to single
         cells, so per-cell ``cell_seconds`` are not recorded.
         """
-        from .experiment import _make_tracker
+        from .experiment import _check_workers, _make_tracker, _run_pool
 
         grid = [int(rounds) for rounds in rounds_grid]
         if not grid:
@@ -380,10 +381,7 @@ class BatchedExperimentEngine:
                 raise ConfigurationError(
                     f"rounds must be >= 1, got {rounds}"
                 )
-        if workers is not None and workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0 when given, got {workers}"
-            )
+        _check_workers(workers)
         height = config.tree_height
         if spec.size > 0 and height > 62:
             raise ConfigurationError(
@@ -402,13 +400,28 @@ class BatchedExperimentEngine:
             max_rounds=max_rounds,
             workers=workers or 1,
         ):
-            if workers is None or workers <= 1:
-                depths = self._grid_depths_serial(
-                    spec, config, max_rounds
-                )
+            shard = partial(
+                _grid_depth_rows,
+                self.base_seed,
+                self.repetitions,
+                spec,
+                config,
+                max_rounds,
+            )
+            if workers is None or workers == 1:
+                depths = shard(0, self.repetitions, registry)
             else:
-                depths = self._grid_depths_parallel(
-                    spec, config, max_rounds, workers
+                depths = np.concatenate(
+                    _run_pool(
+                        workers,
+                        [
+                            partial(shard, shard_start, shard_stop)
+                            for shard_start, shard_stop in _shard_ranges(
+                                self.repetitions, workers
+                            )
+                        ],
+                        registry,
+                    )
                 )
             tracker = _make_tracker(progress, len(grid), registry)
             results = self._reduce_grid(
@@ -433,98 +446,6 @@ class BatchedExperimentEngine:
                 seconds=seconds,
             )
         return results
-
-    def _repetition_words(self, rounds: int, passive: bool):
-        """Yield each repetition's :func:`pet_words` draw, in order."""
-        children = np.random.SeedSequence(self.base_seed).spawn(
-            self.repetitions
-        )
-        for child in children:
-            yield pet_words(np.random.default_rng(child), rounds, passive)
-
-    def _grid_depths_serial(
-        self, spec: WorkloadSpec, config: PetConfig, max_rounds: int
-    ) -> np.ndarray:
-        """The ``(repetitions, max_rounds)`` depth matrix, in-process."""
-        depths = np.empty(
-            (self.repetitions, max_rounds), dtype=np.int64
-        )
-        seed_timer = self.registry.histogram("profile.seed_matrix.seconds")
-        hash_timer = self.registry.histogram("profile.hash_passes.seconds")
-        word_draws = self._repetition_words(max_rounds, config.passive_tags)
-        for index in range(self.repetitions):
-            with seed_timer.time():
-                words = next(word_draws)
-            with hash_timer.time():
-                depths[index] = _repetition_depths(
-                    spec, config, words, index
-                )
-        return depths
-
-    def _grid_depths_parallel(
-        self,
-        spec: WorkloadSpec,
-        config: PetConfig,
-        max_rounds: int,
-        workers: int,
-    ) -> np.ndarray:
-        """The depth matrix via worker shards over shared memory.
-
-        The parent derives the full word tensor once (seed discipline
-        stays parent-side), shares it read-only, and shares a writable
-        depth matrix that workers fill in disjoint repetition shards —
-        both segments are cleaned up even when a worker dies
-        mid-shard.
-        """
-        from .experiment import _run_pool
-        from .shm import SharedArray
-
-        registry = self.registry
-        seed_timer = registry.histogram("profile.seed_matrix.seconds")
-        word_draws = self._repetition_words(max_rounds, config.passive_tags)
-        rows = []
-        for _ in range(self.repetitions):
-            with seed_timer.time():
-                rows.append(next(word_draws))
-        words_all = np.stack(rows)
-        del rows
-        words_segment = None
-        depths_segment = None
-        try:
-            words_segment = SharedArray.create(
-                words_all, registry=registry
-            )
-            del words_all
-            depths_segment = SharedArray.zeros(
-                (self.repetitions, max_rounds),
-                np.int64,
-                registry=registry,
-            )
-            _run_pool(
-                workers,
-                [
-                    partial(
-                        _grid_depths_shard,
-                        words_segment.spec,
-                        depths_segment.spec,
-                        shard_start,
-                        shard_stop,
-                        spec,
-                        config,
-                    )
-                    for shard_start, shard_stop in _shard_ranges(
-                        self.repetitions, workers
-                    )
-                ],
-                registry,
-            )
-            # Copy out before the segment disappears.
-            return depths_segment.array.copy()
-        finally:
-            for segment in (words_segment, depths_segment):
-                if segment is not None:
-                    segment.close()
-                    segment.unlink(registry=registry)
 
     def _reduce_grid(
         self,
@@ -620,42 +541,51 @@ def _shard_ranges(
     return ranges
 
 
-def _grid_depths_shard(
-    words_spec: object,
-    depths_spec: object,
-    start: int,
-    stop: int,
+def _repetition_words(
+    base_seed: int,
+    repetitions: int,
+    rounds: int,
+    passive: bool,
+    start: int = 0,
+    stop: "int | None" = None,
+):
+    """Yield the :func:`pet_words` draws of repetitions ``start:stop``.
+
+    Repetition ``i`` draws from child ``i`` of
+    ``SeedSequence(base_seed).spawn(repetitions)``, so any row shard
+    re-derives its words without the rest of the cell.
+    """
+    children = np.random.SeedSequence(base_seed).spawn(repetitions)
+    for child in children[start:stop]:
+        yield pet_words(np.random.default_rng(child), rounds, passive)
+
+
+def _grid_depth_rows(
+    base_seed: int,
+    repetitions: int,
     spec: WorkloadSpec,
     config: PetConfig,
+    max_rounds: int,
+    start: int,
+    stop: int,
     registry: MetricsRegistry,
-) -> None:
-    """One repetition shard of the grid's depth pass, in a worker.
+) -> np.ndarray:
+    """Rows ``start:stop`` of a grid's ``(repetitions, max_rounds)`` depths.
 
-    Attaches both parent-owned segments, writes depth rows
-    ``start:stop`` (timing each as a ``hash_passes`` phase), and
-    detaches; never copies the word tensor or unlinks anything
-    (module-level so it pickles into the pool).
+    Times each repetition's word draw as a ``seed_matrix`` phase and
+    its depth pass as a ``hash_passes`` phase.  The serial grid runs
+    it over every row; pool workers each run one shard and return
+    their rows (module-level, so it pickles into the pool).
     """
-    from ..obs.registry import NULL_REGISTRY
-    from .shm import SharedArray
-
+    seed_timer = registry.histogram("profile.seed_matrix.seconds")
     hash_timer = registry.histogram("profile.hash_passes.seconds")
-    words_segment = SharedArray.attach(
-        words_spec, registry=NULL_REGISTRY
+    depths = np.empty((stop - start, max_rounds), dtype=np.int64)
+    word_draws = _repetition_words(
+        base_seed, repetitions, max_rounds, config.passive_tags, start, stop
     )
-    try:
-        depths_segment = SharedArray.attach(
-            depths_spec, registry=NULL_REGISTRY
-        )
-        try:
-            words = words_segment.array
-            depths = depths_segment.array
-            for index in range(start, stop):
-                with hash_timer.time():
-                    depths[index] = _repetition_depths(
-                        spec, config, words[index], index
-                    )
-        finally:
-            depths_segment.close()
-    finally:
-        words_segment.close()
+    for row, index in enumerate(range(start, stop)):
+        with seed_timer.time():
+            words = next(word_draws)
+        with hash_timer.time():
+            depths[row] = _repetition_depths(spec, config, words, index)
+    return depths

@@ -300,14 +300,11 @@ class ExperimentRunner:
         specs: "Sequence[ProtocolCellSpec]",
         workers: int | None = None,
         on_error: str = "nan",
-        share_seeds: bool = False,
     ) -> "list[ProtocolCellResult]":
         """Batched comparison-cell sweep (table-3 style drivers).
 
         Same worker semantics as :meth:`sweep`: results are bit-for-bit
-        identical for any ``workers`` count.  ``share_seeds`` derives
-        one wide seed matrix that every cell prefix-slices (zero-copy
-        shared memory under a worker pool); see
+        identical for any ``workers`` count; see
         :func:`~repro.sim.protocol_batched.sweep_protocol_cells`.
         """
         from .protocol_batched import sweep_protocol_cells
@@ -319,7 +316,6 @@ class ExperimentRunner:
             workers=workers,
             registry=self.registry,
             on_error=on_error,
-            share_seeds=share_seeds,
         )
 
     def sweep_rounds(
@@ -336,9 +332,9 @@ class ExperimentRunner:
         pass at the widest grid value serves every cell as a prefix
         reduction — bit-identical to calling :meth:`run_vectorized`
         per grid value, at a fraction of the work.  ``workers`` shards
-        the repetitions over a process pool with zero-copy
-        shared-memory word/depth matrices; ``None``/``0``/``1`` runs
-        serially and never allocates a segment.
+        the repetitions over a process pool, each worker re-deriving
+        its rows' words from the seed tree; ``None``/``1`` runs
+        serially.
         """
         from .batched import BatchedExperimentEngine
 
@@ -386,10 +382,7 @@ class ExperimentRunner:
         ticks in this process: after each serial cell, or as each pool
         future completes.
         """
-        if workers is not None and workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1 when given, got {workers}"
-            )
+        _check_workers(workers)
         tracker = _make_tracker(progress, len(sizes), self.registry)
         start = time.perf_counter()
         with self.registry.span(
@@ -427,6 +420,16 @@ class ExperimentRunner:
         if tracker is not None:
             tracker.finish()
         return results
+
+
+def _check_workers(workers: "int | None") -> None:
+    """Every sweep's ``workers`` rule: ``None`` or an integer >= 1."""
+    if workers is not None and not (
+        isinstance(workers, (int, np.integer)) and workers >= 1
+    ):
+        raise ConfigurationError(
+            f"workers must be None or an integer >= 1, got {workers!r}"
+        )
 
 
 def _make_tracker(
@@ -472,9 +475,10 @@ def _run_pool(
     registry (when ``registry`` is real) under a per-cell child of the
     live trace context, so worker spans join the parent's trace.  The
     parent ticks ``tracker`` as each future completes, then merges the
-    worker snapshots in submission order and feeds every result's
+    worker snapshots in submission order and feeds every cell result's
     finite estimates to the parent's health monitor, which worker
-    registries cannot carry.
+    registries cannot carry.  Rounds-grid shards return depth rows,
+    not cells: the parent observes those when it reduces the grid.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -503,7 +507,7 @@ def _run_pool(
     results = [result for result, _ in pairs]
     if health is not None:
         for result in results:
-            if result is None:
+            if isinstance(result, np.ndarray):
                 continue
             finite = result.estimates[np.isfinite(result.estimates)]
             if finite.size:

@@ -182,7 +182,6 @@ def run_protocol_cell(
     base_seed: int = 2011,
     registry: MetricsRegistry | None = None,
     on_error: str = "raise",
-    seeds: np.ndarray | None = None,
 ) -> ProtocolCellResult:
     """Run one whole comparison cell through the protocol's engine.
 
@@ -195,12 +194,6 @@ def run_protocol_cell(
     scalar loop would, ``"nan"`` flags the repetition's estimate as
     ``NaN`` and counts it in ``saturated_runs`` so one saturated run
     cannot abort a whole figure.
-
-    ``seeds`` optionally supplies the seed matrix (or a prefix slice of
-    a wider shared one — see :func:`sweep_protocol_cells`'s
-    ``share_seeds``) instead of re-deriving it; it must be exactly what
-    :func:`seed_matrix` would return, which the word-stream prefix
-    property guarantees for column slices of a max-draws matrix.
     """
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -225,14 +218,9 @@ def run_protocol_cell(
         n=population.size,
     ):
         with histogram("profile.seed_matrix.seconds").time():
-            draws = rounds * engine.draws_per_round
-            if seeds is None:
-                seeds = seed_matrix(base_seed, repetitions, draws)
-            elif seeds.shape != (repetitions, draws):
-                raise ConfigurationError(
-                    f"supplied seed matrix has shape {seeds.shape}, "
-                    f"cell needs {(repetitions, draws)}"
-                )
+            seeds = seed_matrix(
+                base_seed, repetitions, rounds * engine.draws_per_round
+            )
         with histogram("profile.hash_passes.seconds").time():
             statistics = _chunked_statistics(engine, seeds, population)
         with histogram("profile.finalize.seconds").time():
@@ -372,20 +360,6 @@ class ProtocolCellSpec:
         return protocol, population
 
 
-def _cell_draws(spec: ProtocolCellSpec) -> int:
-    """Seed draws one cell consumes (without building its population)."""
-    from ..protocols.registry import make_protocol
-
-    protocol = make_protocol(spec.protocol, **spec.config)
-    engine = protocol.batched_engine()
-    if engine is None:
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} has no batched engine; use "
-            f"the scalar estimate path"
-        )
-    return spec.rounds * engine.draws_per_round
-
-
 def sweep_protocol_cells(
     specs: Sequence[ProtocolCellSpec],
     repetitions: int = PAPER_RUNS_PER_POINT,
@@ -394,7 +368,6 @@ def sweep_protocol_cells(
     registry: MetricsRegistry | None = None,
     on_error: str = "nan",
     progress: object = None,
-    share_seeds: bool = False,
 ) -> list[ProtocolCellResult]:
     """Run many comparison cells, optionally process-parallel.
 
@@ -407,29 +380,15 @@ def sweep_protocol_cells(
     aggregate to the same totals as a serial run — mirroring
     :meth:`ExperimentRunner.sweep`, which also documents the
     ``progress`` argument (``True`` for a stderr status line, or a
-    :class:`~repro.obs.progress.ProgressTracker`).
-
-    ``share_seeds`` derives one seed matrix wide enough for the widest
-    cell and lets every cell slice its prefix — bit-identical to
-    per-cell derivation because full-range ``uint64`` draws are
-    stream-prefix-stable (pinned by the seed-discipline tests).  With a
-    worker pool the matrix travels as a zero-copy
-    :class:`~repro.sim.shm.SharedArray` segment instead of being
-    re-derived (or pickled) per cell; serial sweeps slice a plain
-    in-process array and never touch shared memory.
+    :class:`~repro.obs.progress.ProgressTracker`).  Every cell,
+    serial or in a worker, derives its own :func:`seed_matrix`.
     """
-    from .experiment import _make_tracker, _run_pool, _tick
+    from .experiment import _check_workers, _make_tracker, _run_pool, _tick
 
-    if workers is not None and workers < 1:
-        raise ConfigurationError(
-            f"workers must be >= 1 when given, got {workers}"
-        )
+    _check_workers(workers)
     if registry is None:
         registry = get_registry()
     tracker = _make_tracker(progress, len(specs), registry)
-    draws_by_spec = (
-        [_cell_draws(spec) for spec in specs] if share_seeds else None
-    )
     start = time.perf_counter()
     with registry.span(
         "sweep",
@@ -438,67 +397,30 @@ def sweep_protocol_cells(
         workers=workers or 1,
     ):
         if workers is None or workers == 1:
-            shared_seeds = None
-            if draws_by_spec is not None and specs:
-                # Serial share path: one plain in-process matrix, no
-                # shared-memory segment (asserted by lifecycle tests).
-                shared_seeds = seed_matrix(
-                    base_seed, repetitions, max(draws_by_spec)
-                )
             results = []
-            for index, spec in enumerate(specs):
-                seeds = (
-                    shared_seeds[:, : draws_by_spec[index]]
-                    if shared_seeds is not None
-                    else None
-                )
-                result = run_protocol_cell(
-                    *spec.build(),
-                    rounds=spec.rounds,
-                    repetitions=repetitions,
-                    base_seed=base_seed,
-                    registry=registry,
-                    on_error=on_error,
-                    seeds=seeds,
+            for spec in specs:
+                result = _protocol_cell(
+                    spec, repetitions, base_seed, on_error, registry
                 )
                 if tracker is not None:
                     _tick(tracker, result)
                 results.append(result)
         else:
-            segment = None
-            if draws_by_spec is not None and specs:
-                from .shm import SharedArray
-
-                segment = SharedArray.create(
-                    seed_matrix(
-                        base_seed, repetitions, max(draws_by_spec)
-                    ),
-                    registry=registry,
-                )
-            try:
-                results = _run_pool(
-                    workers,
-                    [
-                        partial(
-                            _protocol_cell,
-                            spec,
-                            repetitions,
-                            base_seed,
-                            on_error,
-                            segment.spec if segment else None,
-                            draws_by_spec[index]
-                            if draws_by_spec is not None
-                            else 0,
-                        )
-                        for index, spec in enumerate(specs)
-                    ],
-                    registry,
-                    tracker,
-                )
-            finally:
-                if segment is not None:
-                    segment.close()
-                    segment.unlink(registry=registry)
+            results = _run_pool(
+                workers,
+                [
+                    partial(
+                        _protocol_cell,
+                        spec,
+                        repetitions,
+                        base_seed,
+                        on_error,
+                    )
+                    for spec in specs
+                ],
+                registry,
+                tracker,
+            )
     seconds = time.perf_counter() - start
     if seconds > 0:
         registry.gauge("experiment.cells_per_second").set(
@@ -514,35 +436,14 @@ def _protocol_cell(
     repetitions: int,
     base_seed: int,
     on_error: str,
-    seeds_spec: object,
-    draws: int,
     registry: MetricsRegistry,
 ) -> ProtocolCellResult:
-    """One comparison sweep cell (module-level, so it pickles).
-
-    ``seeds_spec`` optionally names a parent-owned shared-memory seed
-    matrix; the worker attaches, slices this cell's ``draws``-column
-    prefix, and detaches — it never copies or unlinks the segment.
-    """
-    protocol, population = spec.build()
-    segment = None
-    seeds = None
-    if seeds_spec is not None:
-        from .shm import SharedArray
-
-        segment = SharedArray.attach(seeds_spec, registry=registry)
-        seeds = segment.array[:, :draws]
-    try:
-        return run_protocol_cell(
-            protocol,
-            population,
-            rounds=spec.rounds,
-            repetitions=repetitions,
-            base_seed=base_seed,
-            registry=registry,
-            on_error=on_error,
-            seeds=seeds,
-        )
-    finally:
-        if segment is not None:
-            segment.close()
+    """One comparison sweep cell (module-level, so it pickles)."""
+    return run_protocol_cell(
+        *spec.build(),
+        rounds=spec.rounds,
+        repetitions=repetitions,
+        base_seed=base_seed,
+        registry=registry,
+        on_error=on_error,
+    )

@@ -70,26 +70,6 @@ class TagPopulation:
         return cls(ids, family=family)
 
     @classmethod
-    def from_sorted_ids(
-        cls,
-        ids: np.ndarray,
-        family: HashFamily | None = None,
-    ) -> "TagPopulation":
-        """Wrap an already-sorted unique ``uint64`` ID array, zero-copy.
-
-        Caller contract: ``ids`` is sorted ascending with no
-        duplicates (not re-checked — that is the point).  The array is
-        held by reference, so a shared-memory-backed buffer stays
-        shared: worker shards attach the router's
-        :class:`~repro.sim.shm.SharedArray` and build their population
-        view through here without copying or re-validating.
-        """
-        population = cls.__new__(cls)
-        population._ids = np.asarray(ids, dtype=np.uint64)
-        population._family = family or default_family()
-        return population
-
-    @classmethod
     def sequential(
         cls, size: int, family: HashFamily | None = None
     ) -> "TagPopulation":

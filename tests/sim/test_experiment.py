@@ -8,6 +8,7 @@ import pytest
 from repro.config import PetConfig
 from repro.errors import ConfigurationError
 from repro.sim.experiment import ExperimentRunner
+from repro.sim.protocol_batched import ProtocolCellSpec
 from repro.sim.workload import WorkloadSpec
 
 
@@ -99,6 +100,28 @@ class TestValidation:
         runner = ExperimentRunner(base_seed=7, repetitions=2)
         with pytest.raises(ConfigurationError):
             runner.sweep((100,), PetConfig(), rounds=4, workers=0)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("entry", ["sweep", "sweep_rounds", "protocols"])
+def test_every_sweep_rejects_workers_below_one(entry, workers):
+    runner = ExperimentRunner(base_seed=7, repetitions=2)
+    sweeps = {
+        "sweep": lambda: runner.sweep(
+            (100,), PetConfig(), rounds=4, workers=workers
+        ),
+        "sweep_rounds": lambda: runner.sweep_rounds(
+            WorkloadSpec(size=32, seed=3),
+            PetConfig(tree_height=16, passive_tags=True),
+            [2, 4],
+            workers=workers,
+        ),
+        "protocols": lambda: runner.sweep_protocols(
+            [ProtocolCellSpec("lof", 64, 4)], workers=workers
+        ),
+    }
+    with pytest.raises(ConfigurationError, match="workers"):
+        sweeps[entry]()
 
 
 class TestSweepWorkers:

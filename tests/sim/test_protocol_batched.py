@@ -163,6 +163,19 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_protocol_cells(self.SPECS, repetitions=2, workers=0)
 
+    def test_parallel_sweep_raises_when_a_worker_cell_raises(self):
+        specs = [
+            ProtocolCellSpec("lof", 64, 6),
+            ProtocolCellSpec("no-such-protocol", 64, 6),
+        ]
+        with pytest.raises(ConfigurationError, match="no-such-protocol"):
+            sweep_protocol_cells(
+                specs,
+                repetitions=4,
+                workers=2,
+                registry=MetricsRegistry(),
+            )
+
     def test_parallel_registry_matches_serial_on_parity_view(self):
         from repro.obs import parity_view
 
